@@ -184,7 +184,7 @@ PreparedProgram gdse::bench::prepareOriginal(const WorkloadInfo &W) {
     return P;
   }
   P.M = std::move(R.M);
-  P.LoopIds = findCandidateLoops(*P.M);
+  P.LoopIds = CompilationSession(*P.M).candidateLoops();
   P.Ok = true;
   return P;
 }

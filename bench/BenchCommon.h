@@ -18,9 +18,9 @@
 #ifndef GDSE_BENCH_BENCHCOMMON_H
 #define GDSE_BENCH_BENCHCOMMON_H
 
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
-#include "parallel/Pipeline.h"
 #include "support/Timing.h"
 #include "workloads/Workloads.h"
 

@@ -15,11 +15,11 @@
 // every virtual metric (budgets charge no cycles) — the bench asserts that —
 // so the reported overhead is HOST time only.
 //
-// MaxCycles is deliberately NOT armed: a cycle cap folds into the engine's
-// EffMaxCycles accounting, which forces the threads engine onto the
-// simulated path (cycle counting requires the deterministic interleaving),
-// so arming it would change what the threads rows measure. Its cost is the
-// same per-iteration counter check the deadline poll already covers.
+// The budget's cycle cap is deliberately NOT armed: any cycle cap forces the
+// threads engine onto the simulated path (cycle counting requires the
+// deterministic interleaving), so arming it would change what the threads
+// rows measure. Its cost is the same per-iteration counter check the
+// deadline poll already covers.
 //
 // --max-overhead X exits 1 when the harmonic-mean armed/off host-time ratio
 // across all rows exceeds X; CI gates at 1.05.

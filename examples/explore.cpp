@@ -23,10 +23,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/GraphIO.h"
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
 #include "ir/IRPrinter.h"
-#include "parallel/Pipeline.h"
 #include "workloads/Workloads.h"
 
 #include <cstdio>

@@ -16,12 +16,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/CompilationSession.h"
 #include "interp/Interp.h"
 #include "ir/IRBuilder.h"
 #include "ir/IRClone.h"
 #include "ir/IRPrinter.h"
 #include "ir/Verifier.h"
-#include "parallel/Pipeline.h"
 
 #include <cstdio>
 

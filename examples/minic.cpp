@@ -10,7 +10,7 @@
 //   minic <file.mc>... [--threads N] [--jobs N] [--transform] [--dump-ir]
 //         [--engine tree|bytecode|threads] [--guard off|check|fallback]
 //         [--deadline-ms N] [--mem-budget N] [--watchdog-ms N] [--faults SPEC]
-//         [--no-ladder] [--time-passes] [--stats]
+//         [--time-passes] [--stats]
 //
 // --engine threads executes eligible transformed parallel loops on real host
 // threads (--threads N workers) while reproducing the serial engines'
@@ -32,7 +32,6 @@
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
 #include "ir/IRPrinter.h"
-#include "parallel/Pipeline.h"
 
 #include <cstdio>
 #include <fstream>
@@ -66,7 +65,7 @@ int main(int argc, char **argv) {
   // Guard default follows GDSE_GUARD (off when unset); --guard wins.
   GuardMode Guard = guardModeFromEnv();
   // Resilience defaults follow GDSE_DEADLINE_MS / GDSE_MEM_BUDGET /
-  // GDSE_WATCHDOG_MS / GDSE_LADDER / GDSE_FAULTS; the flags below win.
+  // GDSE_WATCHDOG_MS / GDSE_FAULTS; the flags below win.
   ResilienceOptions Resilience = resilienceFromEnv();
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -103,8 +102,6 @@ int main(int argc, char **argv) {
       Resilience.Budget.MaxBytes = static_cast<uint64_t>(std::atoll(argv[++I]));
     else if (Arg == "--watchdog-ms" && I + 1 < argc)
       Resilience.WatchdogMs = static_cast<uint64_t>(std::atoll(argv[++I]));
-    else if (Arg == "--no-ladder")
-      Resilience.Ladder = false;
     else if (Arg == "--faults" && I + 1 < argc) {
       std::string Err;
       Resilience.Faults = FaultInjector::parse(argv[++I], Err);
@@ -143,7 +140,7 @@ int main(int argc, char **argv) {
                  "[--engine tree|bytecode|threads] "
                  "[--guard off|check|fallback] "
                  "[--deadline-ms N] [--mem-budget N] [--watchdog-ms N] "
-                 "[--faults SPEC] [--no-ladder] "
+                 "[--faults SPEC] "
                  "[--transform] [--audit-deps] "
                  "[--dump=points-to|static-deps|classes|witness] "
                  "[--dump-ir] [--time-passes] [--stats]\n");
@@ -286,11 +283,12 @@ int main(int argc, char **argv) {
     DiagnosticEngine RunDiags;
     IO.GuardDiags = &RunDiags;
     IO.Resilience.Diags = &RunDiags;
-    // runResilient retries an engine fault (watchdog fire, pool loss mid-run)
-    // on the next rung down the ladder; resource breaches stay traps.
-    RunResult R = runResilient(*P.M, IO, "main", &RunDiags);
+    // Loop-level degradations (pool loss, watchdog fire) recover inside the
+    // run; resource breaches and unrecoverable wedges stay attributed traps.
+    RunResult R = Interp(*P.M, IO).run();
     std::fputs(R.Output.c_str(), stdout);
-    // Guard diagnostics (violations in check mode, fallback warnings).
+    // Guard diagnostics (violations in check mode, fallback warnings) and
+    // resilience warnings (degradations, watchdog fires).
     for (const Diagnostic &D : RunDiags.diagnostics())
       std::fprintf(stderr, "%s%s%s\n", Multi ? P.Path.c_str() : "",
                    Multi ? ": " : "", D.str().c_str());

@@ -198,13 +198,10 @@ const LoopDepGraph *AnalysisManager::depGraph(unsigned LoopId,
   switch (Source) {
   case GraphSource::Profile: {
     Stats.ProfileRuns.fetch_add(1, std::memory_order_relaxed);
-    // The profiling run itself executes on the session's shared bytecode
-    // (lowered once per IR version) unless GDSE_ENGINE forces the
-    // tree-walker. bytecode() takes ModuleMu inside this shard lock, the
-    // one permitted nesting order.
-    std::shared_ptr<const BytecodeModule> Precompiled;
-    if (engineFromEnv() == ExecEngine::Bytecode)
-      Precompiled = bytecode();
+    // The profiling run executes on the session's shared bytecode (lowered
+    // once per IR version). bytecode() takes ModuleMu inside this shard
+    // lock, the one permitted nesting order.
+    std::shared_ptr<const BytecodeModule> Precompiled = bytecode();
     TimerScope T(TR, "analysis.profile");
     ProfileResult Prof = profileLoop(M, LoopId, this->Entry, Precompiled);
     if (TR)

@@ -60,7 +60,7 @@ PipelineResult CompilationSession::compileLoop(unsigned LoopId,
   PassManager PM;
   // The audit must see the untransformed module: witness access ids match
   // the profiled graph only before expansion rewrites the loop.
-  if (Opts.AuditDeps || envFlag("GDSE_AUDIT_DEPS"))
+  if (Opts.AuditDeps)
     PM.add(createAuditPass());
   switch (Opts.Method) {
   case PrivatizationMethod::Expansion:
@@ -194,24 +194,4 @@ std::string CompilationSession::statsReport() const {
   Out += formatString("  %12llu  analysis.numbering.runs\n",
                       static_cast<unsigned long long>(S.NumberingRuns));
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Legacy entry points
-//===----------------------------------------------------------------------===//
-
-std::vector<unsigned> gdse::findCandidateLoops(Module &M) {
-  AccessNumbering Num = AccessNumbering::compute(M);
-  std::vector<unsigned> Out;
-  for (const LoopDesc &L : Num.loops())
-    if (auto *F = dyn_cast<ForStmt>(L.LoopStmt))
-      if (F->isCandidate())
-        Out.push_back(L.Id);
-  return Out;
-}
-
-PipelineResult gdse::transformLoop(Module &M, unsigned LoopId,
-                                   const PipelineOptions &Opts) {
-  CompilationSession Session(M);
-  return Session.compileLoop(LoopId, Opts);
 }

@@ -85,14 +85,15 @@ public:
   std::vector<unsigned> candidateLoops();
 
   /// Profile -> classify -> privatize -> plan for one loop, mutating the
-  /// module. Identical semantics to the legacy transformLoop(), plus
-  /// structured diagnostics in PipelineResult::Diags.
+  /// module, with structured diagnostics in PipelineResult::Diags. A
+  /// one-shot caller holds a session for just this call:
+  /// `CompilationSession(M).compileLoop(LoopId, Opts)`.
   PipelineResult compileLoop(unsigned LoopId,
                              const PipelineOptions &Opts = PipelineOptions());
 
   /// Batch compilation: compileLoop for every candidate loop, in program
   /// order. Stops at the first loop whose pipeline fails (the module must
-  /// be discarded then, exactly like a failed transformLoop).
+  /// be discarded then, exactly like after a failed compileLoop).
   std::vector<PipelineResult>
   compileAll(const PipelineOptions &Opts = PipelineOptions());
 

@@ -10,8 +10,7 @@
 /// graph), classify accesses, privatize (by compile-time expansion or by the
 /// runtime-privatization baseline), and plan the parallel execution — as
 /// options plus a per-loop result record. Orchestration lives in
-/// CompilationSession.h; `transformLoop` below is the one-shot convenience
-/// wrapper around a single-loop session.
+/// CompilationSession.h, the header clients include.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +41,6 @@ struct PipelineOptions {
   /// Run the dependence audit (minic --audit-deps): diff the source graph's
   /// privatization claims against the static witness before transforming,
   /// reporting refuted and unsupportable claims as structured warnings.
-  /// compileLoop also enables this when GDSE_AUDIT_DEPS is set.
   bool AuditDeps = false;
 };
 
@@ -73,16 +71,6 @@ struct PipelineResult {
   unsigned AuditConfirmed = 0;
   unsigned AuditUnsupported = 0;
 };
-
-/// Loop ids of the "@candidate" for-loops of \p M, in program order. Runs
-/// AccessNumbering (assigning loop ids) as a side effect.
-std::vector<unsigned> findCandidateLoops(Module &M);
-
-/// Runs profile -> classify -> privatize -> plan for loop \p LoopId of
-/// \p M, mutating the module. One-shot wrapper over CompilationSession;
-/// batch callers should hold a session instead to reuse cached analyses.
-PipelineResult transformLoop(Module &M, unsigned LoopId,
-                             const PipelineOptions &Opts = PipelineOptions());
 
 } // namespace gdse
 

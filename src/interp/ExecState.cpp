@@ -819,12 +819,11 @@ bool ThreadState::threadedEligible(unsigned LoopId, ParallelKind Kind,
   if (Opts.Engine != ExecEngine::Threads || Opts.NumThreads < 2)
     return false;
   // An installed observer expects the serial-order event stream; a cycle
-  // budget (legacy MaxCycles or the resilience budget's cap, folded into
-  // EffMaxCycles) needs a monotonic global cycle counter; an armed guard
-  // watch must see every access in serial order. All three force the
-  // simulated path. Wall-clock deadlines and byte budgets are order-free
-  // and stay threaded-compatible.
-  if (Obs || P.EffMaxCycles != 0 || !GuardWatch.empty())
+  // budget needs a monotonic global cycle counter; an armed guard watch must
+  // see every access in serial order. All three force the simulated path.
+  // Wall-clock deadlines and byte budgets are order-free and stay
+  // threaded-compatible.
+  if (Obs || Opts.Resilience.Budget.MaxCycles != 0 || !GuardWatch.empty())
     return false;
   const ProgramContext::LoopTraits *T = P.loopTraits(LoopId);
   // Runtime privatization keeps a serial-order shadow map: simulate.
@@ -1162,7 +1161,6 @@ void ThreadState::resetRun() {
   TrapLoopId = -1;
   TrapIteration = -1;
   TrapThread = -1;
-  EngineFault = false;
   BudgetPolls = 0;
   P.armDeadline();
   LoopCtxStack.clear();

@@ -167,9 +167,6 @@ struct ThreadState {
   int64_t TrapLoopId = -1;
   int64_t TrapIteration = -1;
   int TrapThread = -1;
-  /// The trap is an engine-level fault (see RunResult::EngineFault): the
-  /// degradation ladder may retry the run on a lower engine.
-  bool EngineFault = false;
   int64_t ExitCode = 0;
   VMValue ReturnValue;
   std::string Output;
@@ -300,14 +297,15 @@ struct ThreadState {
 
   void charge(uint64_t C) { Cycles += C; }
 
-  /// The per-iteration budget gate: the folded cycle cap (exact, checked
+  /// The per-iteration budget gate: the budget's cycle cap (exact, checked
   /// every call) and the wall-clock deadline (polled every 64th call — the
   /// clock read is the expensive part, and a deadline is approximate by
   /// nature). Traps and returns false on breach. DeadlineArmed is a
   /// constructor-time constant, so with no deadline configured the extra
   /// cost is one predictable branch.
   bool checkBudget() {
-    if (P.EffMaxCycles && Cycles > P.EffMaxCycles) {
+    const uint64_t MaxCycles = Opts.Resilience.Budget.MaxCycles;
+    if (MaxCycles && Cycles > MaxCycles) {
       trap("cycle budget exceeded (runaway loop?)");
       return false;
     }

@@ -19,7 +19,6 @@
 #include "interp/Bytecode.h"
 #include "interp/ExecState.h"
 #include "ir/IRPrinter.h"
-#include "support/Diagnostics.h"
 #include "support/Support.h"
 
 #include <chrono>
@@ -683,7 +682,6 @@ struct Interp::Impl : ContextHolder, ExecState {
     R.TrapLoopId = TrapLoopId;
     R.TrapIteration = TrapIteration;
     R.TrapThread = TrapThread;
-    R.EngineFault = EngineFault;
     R.ExitCode = Trapped ? -1 : ExitCode;
     R.WorkCycles = Cycles;
     int64_t Sim = static_cast<int64_t>(Cycles) + TimeAdjust;
@@ -738,75 +736,3 @@ Interp::~Interp() { delete P; }
 void Interp::setObserver(InterpObserver *O) { P->Obs = O; }
 
 RunResult Interp::run(const std::string &Entry) { return P->run(Entry); }
-
-//===----------------------------------------------------------------------===//
-// Degradation ladder
-//===----------------------------------------------------------------------===//
-
-static const char *engineName(ExecEngine E) {
-  switch (E) {
-  case ExecEngine::TreeWalk:
-    return "tree-walk";
-  case ExecEngine::Bytecode:
-    return "bytecode";
-  case ExecEngine::Threads:
-    return "threads";
-  }
-  return "?";
-}
-
-RunResult gdse::runResilient(Module &M, InterpOptions Opts,
-                             const std::string &Entry,
-                             DiagnosticEngine *Diags) {
-  if (!Diags)
-    Diags = Opts.Resilience.Diags;
-  // Count the hops across every rung so the caller sees the full ladder even
-  // when the first retry also faults.
-  uint64_t Degradations = 0;
-  uint64_t WatchdogFires = 0;
-  RunResult R;
-  for (;;) {
-    {
-      Interp I(M, Opts);
-      R = I.run(Entry);
-    }
-    for (const auto &[Id, LS] : R.Loops) {
-      (void)Id;
-      Degradations += LS.Degradations;
-      WatchdogFires += LS.WatchdogFires;
-    }
-    if (!R.EngineFault || Opts.Engine == ExecEngine::TreeWalk)
-      break;
-    // Hop one rung down. The fault injector (if any) is shared across hops,
-    // so one-shot rules that already fired do not re-fire on the retry.
-    ExecEngine Next = Opts.Engine == ExecEngine::Threads ? ExecEngine::Bytecode
-                                                         : ExecEngine::TreeWalk;
-    if (Diags) {
-      Diagnostic D;
-      D.Severity = DiagSeverity::Warning;
-      D.Pass = "resilience";
-      D.Message = formatString(
-          "%s engine faulted%s%s; retrying the invocation on the %s engine",
-          engineName(Opts.Engine), R.Trapped ? ": " : "",
-          R.Trapped ? R.TrapMessage.c_str() : "", engineName(Next));
-      Diags->report(D);
-    }
-    Opts.Engine = Next;
-    ++Degradations;
-  }
-  // Surface the cumulative hop counters on the final result: a clean retry
-  // rebuilds Loops from scratch, which would otherwise hide the fact that a
-  // degradation happened at all.
-  if ((Degradations || WatchdogFires) && !R.Loops.empty()) {
-    uint64_t D = 0, W = 0;
-    for (const auto &[Id, LS] : R.Loops) {
-      (void)Id;
-      D += LS.Degradations;
-      W += LS.WatchdogFires;
-    }
-    auto First = R.Loops.begin();
-    First->second.Degradations += Degradations - D;
-    First->second.WatchdogFires += WatchdogFires - W;
-  }
-  return R;
-}

@@ -6,7 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A tree-walking VM over the IR with:
+/// The VM over the IR: the register-bytecode engine (the default), its
+/// host-threaded variant, and the tree-walking reference engine, with:
 ///  - a deterministic cycle cost model (CostModel.h);
 ///  - a virtual-multicore scheduler for loops annotated DOALL/DOACROSS:
 ///    iterations execute in serial order (always semantically safe for code
@@ -65,9 +66,9 @@ enum class ExecEngine : uint8_t {
 
 /// Engine selection from the GDSE_ENGINE environment variable:
 /// "tree"/"treewalk", "bytecode"/"bc", or "threads"; anything else (or
-/// unset) yields \p Default. Benchmarks and tools use this with the
-/// Bytecode default; the library-level InterpOptions default stays
-/// TreeWalk.
+/// unset) yields \p Default. Only tools and benchmarks read it (minic,
+/// bench/, perfbench/); the library never does, so profiling always runs on
+/// bytecode and InterpOptions::Engine is the only engine switch.
 ExecEngine engineFromEnv(ExecEngine Default = ExecEngine::Bytecode);
 
 /// Instrumentation callbacks. Addresses are VM (host) addresses; sizes in
@@ -113,11 +114,10 @@ struct InterpOptions {
   bool SimulateParallel = true;
   /// Verify every access lies in a live allocation.
   bool BoundsCheck = true;
-  /// Abort the run after this many work cycles (0 = unlimited).
-  uint64_t MaxCycles = 0;
   CostModel Costs;
-  /// Execution engine (see ExecEngine).
-  ExecEngine Engine = ExecEngine::TreeWalk;
+  /// Execution engine (see ExecEngine). The tree-walker runs only when
+  /// asked for explicitly, as the reference engine.
+  ExecEngine Engine = ExecEngine::Bytecode;
   /// Optional pre-lowered bytecode for the same module, e.g. the
   /// AnalysisManager's cached per-module analysis. Used only by the
   /// Bytecode engine; when its baked-in cost table differs from Costs the
@@ -136,7 +136,7 @@ struct InterpOptions {
   /// the run recovered). Violations are always recorded in RunResult.
   DiagnosticEngine *GuardDiags = nullptr;
   /// Execution resilience: budgets (deadline / cycle cap / byte budget), the
-  /// DOACROSS watchdog, the degradation ladder, and fault injection. The
+  /// DOACROSS watchdog with its in-loop recovery, and fault injection. The
   /// default (all zero, no injector) adds no observable behavior and near-zero
   /// overhead (see bench/resilience_overhead).
   ResilienceOptions Resilience;
@@ -199,11 +199,6 @@ struct RunResult {
   /// occurrence's attribution, with Count totalling repeats. Empty in Off
   /// mode and on clean guarded runs.
   std::vector<DependenceViolation> Violations;
-  /// The trap is an engine-level fault (worker pool unavailable or watchdog
-  /// wedge with the in-loop ladder disabled) rather than a program error or
-  /// resource breach: runResilient() retries such a run on the next engine
-  /// down. Never set on clean runs or on budget/OOM/program traps.
-  bool EngineFault = false;
 
   bool ok() const { return !Trapped; }
 };
@@ -225,17 +220,6 @@ private:
   struct Impl;
   Impl *P;
 };
-
-/// Runs \p Entry under Opts, walking the degradation ladder on engine-level
-/// faults: a Threads run that ends with RunResult::EngineFault is retried on
-/// the serial Bytecode VM, and that on the TreeWalk engine as last resort.
-/// Each hop is reported as a warning through \p Diags (pass "resilience")
-/// when non-null. Budget breaches, OOM, and program traps are never retried
-/// (re-running would fail again); a shared FaultInjector keeps its counters
-/// across hops, so one-shot faults do not re-fire on the retry.
-RunResult runResilient(Module &M, InterpOptions Opts,
-                       const std::string &Entry = "main",
-                       DiagnosticEngine *Diags = nullptr);
 
 } // namespace gdse
 

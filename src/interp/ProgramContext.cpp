@@ -255,12 +255,6 @@ ProgramContext::ProgramContext(Module &M, InterpOptions O)
     LoopTraitsOf.emplace(LoopId, std::move(T));
   }
 
-  // Fold the legacy cycle cap with the resilience budget: the smaller
-  // non-zero value wins, so either limit alone behaves exactly as before.
-  EffMaxCycles = Opts.MaxCycles;
-  uint64_t BudgetCycles = Opts.Resilience.Budget.MaxCycles;
-  if (BudgetCycles && (!EffMaxCycles || BudgetCycles < EffMaxCycles))
-    EffMaxCycles = BudgetCycles;
   Mem.setByteBudget(Opts.Resilience.Budget.MaxBytes);
 }
 

@@ -104,11 +104,6 @@ struct ProgramContext {
   };
   std::map<unsigned, LoopTraits> LoopTraitsOf;
 
-  /// The effective cycle cap: the smaller non-zero of Opts.MaxCycles and
-  /// Opts.Resilience.Budget.MaxCycles (0 = unlimited). Every engine's budget
-  /// check compares against this one folded value.
-  uint64_t EffMaxCycles = 0;
-
   /// Absolute steady-clock expiry (monotonicNowNs() units) of the current
   /// run's wall-clock deadline; 0 = no deadline armed. Re-armed by
   /// armDeadline() at each run start, read concurrently by workers.

@@ -251,7 +251,7 @@ Flow ThreadState::runForThreaded(
   int64_t SavedExitCode = 0;
   VMValue SavedReturnValue;
   bool SavedHalted = false;
-  if (WatchdogMs && Opts.Resilience.Ladder && !Mem.speculating()) {
+  if (WatchdogMs && !Mem.speculating()) {
     Mem.beginSpeculation();
     SpecArmed = true;
     SavedCycles = Cycles;
@@ -652,14 +652,11 @@ Flow ThreadState::runForThreaded(
         Halted = true; // defensive: a faulting iteration must end the run
     }
 
-    // A wedge with the in-loop ladder unavailable (disabled, or the arena
-    // was already speculating) ends the run with the worker's watchdog trap
-    // transferred above — marked as an engine fault so runResilient() can
-    // retry the whole run on a serial engine.
-    if (WedgeFired) {
-      EngineFault = true;
+    // A wedge without a recovery checkpoint (the arena was already
+    // speculating) ends the run with the worker's attributed watchdog trap
+    // transferred above.
+    if (WedgeFired)
       ++LS.WatchdogFires;
-    }
 
     for (WorkerCtx &W : Workers)
       Mem.releaseUntracked(W.FrameBase);

@@ -177,10 +177,8 @@ gdse::profileLoop(Module &M, unsigned TargetLoopId, const std::string &Entry,
   InterpOptions Opts;
   Opts.NumThreads = 1;
   Opts.SimulateParallel = false;
-  if (Precompiled) {
-    Opts.Engine = ExecEngine::Bytecode;
-    Opts.Precompiled = std::move(Precompiled);
-  }
+  Opts.Engine = ExecEngine::Bytecode;
+  Opts.Precompiled = std::move(Precompiled);
   DepProfiler Profiler(TargetLoopId);
   Interp I(M, Opts);
   I.setObserver(&Profiler);

@@ -95,12 +95,12 @@ struct ProfileResult {
   RunResult Run;
 };
 
-/// Executes \p Entry sequentially under a DepProfiler targeting
-/// \p TargetLoopId and returns the graph plus the run result. When
-/// \p Precompiled is given, the run uses the bytecode engine with that
-/// pre-lowered module (the AnalysisManager's cached per-module analysis);
-/// otherwise the reference tree-walker runs. Either engine produces the
-/// identical event stream, so the graph does not depend on the choice.
+/// Executes \p Entry sequentially on the bytecode VM under a DepProfiler
+/// targeting \p TargetLoopId and returns the graph plus the run result. The
+/// run uses \p Precompiled when given (the AnalysisManager's cached
+/// per-module lowering) and lowers the module itself otherwise. The
+/// reference tree-walker produces the identical event stream when run with
+/// a DepProfiler observer (EngineDiffTest, PassManagerTest).
 ProfileResult
 profileLoop(Module &M, unsigned TargetLoopId, const std::string &Entry = "main",
             std::shared_ptr<const BytecodeModule> Precompiled = nullptr);

@@ -169,7 +169,6 @@ ResilienceOptions gdse::resilienceFromEnv() {
   V = envInt("GDSE_WATCHDOG_MS", 0);
   if (V > 0)
     R.WatchdogMs = static_cast<uint64_t>(V);
-  R.Ladder = envFlag("GDSE_LADDER", true);
   const char *F = std::getenv("GDSE_FAULTS");
   if (F && *F) {
     std::string Err;

@@ -14,14 +14,15 @@
 /// (ExecState, Memory, ThreadedLoop, ProgramContext); this header holds only
 /// policy and parsing so the support layer stays free of interp types.
 ///
-/// Failure handling follows one ladder: a threads-engine failure (worker
-/// pool unavailable, DOACROSS watchdog fire) degrades the loop invocation to
-/// the simulated serial-order path of the same run; a failure that ends a
-/// run with an engine-level fault (RunResult::EngineFault) is retried by
-/// runResilient() on the serial bytecode VM and finally the tree-walker.
-/// Resource breaches (deadline, cycle cap, byte budget, allocation failure)
-/// are not ladder rungs: re-running would breach again, so they convert into
-/// one attributed trap with deterministic teardown.
+/// Failure handling follows one ladder, inside the run: a threads-engine
+/// failure (worker pool unavailable, DOACROSS watchdog fire) degrades the
+/// loop invocation to the simulated serial-order path of the same run, each
+/// hop reported through ResilienceOptions::Diags. A wedge the watchdog cannot
+/// roll back (the arena was already speculating) ends the run with one
+/// attributed watchdog trap. Resource breaches (deadline, cycle cap, byte
+/// budget, allocation failure) are not ladder rungs: re-running would breach
+/// again, so they convert into one attributed trap with deterministic
+/// teardown.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,8 +47,8 @@ uint64_t monotonicNowNs();
 ///  - DeadlineMs: wall-clock ceiling for one run(), polled at loop-iteration
 ///    and allocation boundaries on every engine (workers included) and
 ///    converted into an attributed trap on breach;
-///  - MaxCycles: virtual work-cycle cap, folded with the legacy
-///    InterpOptions::MaxCycles (the smaller non-zero value wins);
+///  - MaxCycles: virtual work-cycle cap, checked at every loop-iteration
+///    boundary (forces the simulated path under the threads engine);
 ///  - MaxBytes: ceiling on the VM arena's live tracked bytes; an allocation
 ///    that would cross it fails and traps as out-of-memory.
 struct ExecBudget {
@@ -78,9 +79,9 @@ struct ExecBudget {
 ///                      check/fallback path
 ///
 /// The injector is shared (std::shared_ptr) and internally synchronized:
-/// worker threads consult it concurrently, and reruns of the degradation
-/// ladder see the same counters, so a one-shot fault does not re-fire on the
-/// retry — exactly the semantics the ladder needs.
+/// worker threads consult it concurrently, and a loop invocation re-run on
+/// the simulated path sees the same counters, so a one-shot fault does not
+/// re-fire on the retry.
 class FaultInjector {
 public:
   enum class Point : uint8_t {
@@ -132,13 +133,10 @@ private:
 struct ResilienceOptions {
   ExecBudget Budget;
   /// DOACROSS watchdog: declare the ticket frontier wedged when no lane
-  /// makes progress for this many milliseconds (0 = watchdog off).
+  /// makes progress for this many milliseconds (0 = watchdog off). A fire
+  /// rolls the invocation back to its pre-invocation state and re-runs it
+  /// on the simulated serial-order path.
   uint64_t WatchdogMs = 0;
-  /// Degrade on engine failure (pool unavailable, watchdog fire) instead of
-  /// trapping: the loop invocation is retried on the simulated serial-order
-  /// path with a rollback to the pre-invocation state. Off converts those
-  /// failures into an attributed trap with RunResult::EngineFault set.
-  bool Ladder = true;
   std::shared_ptr<FaultInjector> Faults;
   /// Sink for structured resilience events (degradation hops, watchdog
   /// fires, pool failures), pass "resilience". May be null.
@@ -150,9 +148,9 @@ struct ResilienceOptions {
 };
 
 /// Builds ResilienceOptions from the environment: GDSE_DEADLINE_MS,
-/// GDSE_MEM_BUDGET (bytes), GDSE_WATCHDOG_MS, GDSE_LADDER (flag, default
-/// on), GDSE_FAULTS (spec). Malformed values warn once through envDiags()
-/// and are ignored, like every other GDSE_* variable.
+/// GDSE_MEM_BUDGET (bytes), GDSE_WATCHDOG_MS, GDSE_FAULTS (spec). Malformed
+/// values warn once through envDiags() and are ignored, like every other
+/// GDSE_* variable.
 ResilienceOptions resilienceFromEnv();
 
 } // namespace gdse

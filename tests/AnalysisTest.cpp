@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/PointsTo.h"
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
 #include "interp/Memory.h"
 #include "ir/AccessInfo.h"
 #include "ir/IRVisitor.h"
-#include "parallel/Pipeline.h"
 #include "profile/DepProfiler.h"
 
 #include <gtest/gtest.h>
@@ -206,7 +206,7 @@ struct Planned {
 Planned planProgram(const std::string &Src, bool Privatize = true) {
   Planned P;
   P.M = parseMiniCOrDie(Src, "planner test");
-  std::vector<unsigned> Cands = findCandidateLoops(*P.M);
+  std::vector<unsigned> Cands = CompilationSession(*P.M).candidateLoops();
   EXPECT_EQ(Cands.size(), 1u);
   P.LoopId = Cands.front();
   ProfileResult PR = profileLoop(*P.M, P.LoopId);
@@ -373,8 +373,8 @@ TEST(Planner, WithoutPrivatizationEverythingIsResidual) {
 
 RunResult runParallel(const std::string &Src, int N) {
   auto M = parseMiniCOrDie(Src, "sim test");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
-  PipelineResult PR = transformLoop(*M, Cands.front());
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
+  PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front());
   EXPECT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
   InterpOptions IO;
   IO.NumThreads = N;
@@ -454,8 +454,8 @@ TEST(ParallelSim, ImbalancedDoallShowsIdleTime) {
     }
   )";
   auto M = parseMiniCOrDie(Src, "imbalance");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
-  PipelineResult PR = transformLoop(*M, Cands.front());
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
+  PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front());
   ASSERT_TRUE(PR.Ok);
   InterpOptions IO;
   IO.NumThreads = 4;
@@ -487,8 +487,8 @@ TEST(ParallelSim, DoacrossDispatchCostAppears) {
     }
   )";
   auto M = parseMiniCOrDie(Src, "dispatch");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
-  PipelineResult PR = transformLoop(*M, Cands.front());
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
+  PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front());
   ASSERT_TRUE(PR.Ok);
   EXPECT_EQ(PR.Plan.Kind, ParallelKind::DOACROSS);
   InterpOptions IO;

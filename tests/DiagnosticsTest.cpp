@@ -10,9 +10,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
-#include "parallel/Pipeline.h"
 #include "support/Support.h"
 
 #include <gtest/gtest.h>
@@ -27,9 +27,9 @@ namespace {
 PipelineResult tryTransform(const std::string &Src,
                             PipelineOptions Opts = PipelineOptions()) {
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "diagnostics");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
   EXPECT_FALSE(Cands.empty());
-  return transformLoop(*M, Cands.front(), Opts);
+  return CompilationSession(*M).compileLoop(Cands.front(), Opts);
 }
 
 void expectError(const PipelineResult &R, const std::string &Substr) {
@@ -290,7 +290,8 @@ TEST(RtPrivAccounting, TranslationAndCopyCountsAreSane) {
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "rtacct");
   PipelineOptions Opts;
   Opts.Method = PrivatizationMethod::Runtime;
-  PipelineResult PR = transformLoop(*M, findCandidateLoops(*M).front(), Opts);
+  unsigned Loop = CompilationSession(*M).candidateLoops().front();
+  PipelineResult PR = CompilationSession(*M).compileLoop(Loop, Opts);
   ASSERT_TRUE(PR.Ok);
   InterpOptions IO;
   IO.NumThreads = 4;
@@ -325,7 +326,8 @@ TEST(RtPrivAccounting, ShadowsReleasedAtLoopEnd) {
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "rtshadow");
   PipelineOptions Opts;
   Opts.Method = PrivatizationMethod::Runtime;
-  PipelineResult PR = transformLoop(*M, findCandidateLoops(*M).front(), Opts);
+  unsigned Loop = CompilationSession(*M).candidateLoops().front();
+  PipelineResult PR = CompilationSession(*M).compileLoop(Loop, Opts);
   ASSERT_TRUE(PR.Ok);
   InterpOptions IO;
   IO.NumThreads = 8;

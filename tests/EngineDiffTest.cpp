@@ -26,7 +26,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Pipeline.h"
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
 #include "ir/IRVisitor.h"
@@ -284,8 +284,8 @@ TEST_P(WorkloadDiff, TransformedParallel) {
   ASSERT_NE(W, nullptr);
   std::unique_ptr<Module> M = parseMiniCOrDie(W->Source, W->Name);
   std::vector<std::shared_ptr<const GuardPlan>> Plans;
-  for (unsigned LoopId : findCandidateLoops(*M)) {
-    PipelineResult PR = transformLoop(*M, LoopId);
+  for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
+    PipelineResult PR = CompilationSession(*M).compileLoop(LoopId);
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
                        << (PR.Errors.empty() ? "?" : PR.Errors.front());
     if (PR.Guard)
@@ -301,8 +301,8 @@ TEST_P(WorkloadDiff, RuntimePrivatized) {
   std::unique_ptr<Module> M = parseMiniCOrDie(W->Source, W->Name);
   PipelineOptions PO;
   PO.Method = PrivatizationMethod::Runtime;
-  for (unsigned LoopId : findCandidateLoops(*M)) {
-    PipelineResult PR = transformLoop(*M, LoopId, PO);
+  for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
+    PipelineResult PR = CompilationSession(*M).compileLoop(LoopId, PO);
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
                        << (PR.Errors.empty() ? "?" : PR.Errors.front());
   }
@@ -407,8 +407,8 @@ TEST_P(WorkloadThreads, TransformedParallel) {
   ASSERT_NE(W, nullptr);
   std::unique_ptr<Module> M = parseMiniCOrDie(W->Source, W->Name);
   std::vector<std::shared_ptr<const GuardPlan>> Plans;
-  for (unsigned LoopId : findCandidateLoops(*M)) {
-    PipelineResult PR = transformLoop(*M, LoopId);
+  for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
+    PipelineResult PR = CompilationSession(*M).compileLoop(LoopId);
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
                        << (PR.Errors.empty() ? "?" : PR.Errors.front());
     if (PR.Guard)
@@ -424,8 +424,8 @@ TEST_P(WorkloadThreads, RuntimePrivatized) {
   std::unique_ptr<Module> M = parseMiniCOrDie(W->Source, W->Name);
   PipelineOptions PO;
   PO.Method = PrivatizationMethod::Runtime;
-  for (unsigned LoopId : findCandidateLoops(*M)) {
-    PipelineResult PR = transformLoop(*M, LoopId, PO);
+  for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
+    PipelineResult PR = CompilationSession(*M).compileLoop(LoopId, PO);
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
                        << (PR.Errors.empty() ? "?" : PR.Errors.front());
   }
@@ -483,9 +483,9 @@ TEST_P(ReductionMatrix, ClassifiesCommutativeAndGoesDoall) {
   const WorkloadInfo *W = findWorkload(GetParam());
   ASSERT_NE(W, nullptr);
   std::unique_ptr<Module> M = parseMiniCOrDie(W->Source, W->Name);
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
   ASSERT_FALSE(Cands.empty());
-  PipelineResult PR = transformLoop(*M, Cands.front());
+  PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front());
   ASSERT_TRUE(PR.Ok) << W->Name << ": "
                      << (PR.Errors.empty() ? "?" : PR.Errors.front());
   EXPECT_GE(PR.Expansion.CommutativeClasses, 1u) << W->Name;
@@ -503,8 +503,8 @@ TEST_P(ReductionMatrix, TierDisabledControl) {
   std::unique_ptr<Module> M = parseMiniCOrDie(W->Source, W->Name);
   PipelineOptions Opts;
   Opts.Expansion.CommutativePrivatization = false;
-  for (unsigned LoopId : findCandidateLoops(*M)) {
-    PipelineResult PR = transformLoop(*M, LoopId, Opts);
+  for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
+    PipelineResult PR = CompilationSession(*M).compileLoop(LoopId, Opts);
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
                        << (PR.Errors.empty() ? "?" : PR.Errors.front());
     EXPECT_EQ(PR.Expansion.CommutativeClasses, 0u) << W->Name;
@@ -541,8 +541,8 @@ int main() {
   return 0;
 })";
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "threads-doacross");
-  for (unsigned LoopId : findCandidateLoops(*M)) {
-    PipelineResult PR = transformLoop(*M, LoopId);
+  for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
+    PipelineResult PR = CompilationSession(*M).compileLoop(LoopId);
     ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
   }
   diffThreadsModule(*M, "threads-doacross");
@@ -571,7 +571,7 @@ int main() {
   // The pipeline's profiling run would trip over the planted fault, so mark
   // the (independent-iteration) loop DOALL directly — the engines must agree
   // on trap attribution regardless of how the loop got its parallel kind.
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
   ASSERT_EQ(Cands.size(), 1u);
   bool Marked = false;
   for (Function *F : M->getFunctions()) {
@@ -620,14 +620,14 @@ int main() {
   return 0;
 })";
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "ordered-trap");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
   ASSERT_EQ(Cands.size(), 1u);
   // The pipeline's profiling run would trip the planted fault, so drive the
   // transform from the conservative static graph: the non-commutative `acc`
   // recurrence (and everything else residual) lands in an ordered chain.
   PipelineOptions Opts;
   Opts.Source = GraphSource::Static;
-  PipelineResult PR = transformLoop(*M, Cands.front(), Opts);
+  PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front(), Opts);
   ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
   ASSERT_EQ(PR.Plan.Kind, ParallelKind::DOACROSS);
   ASSERT_GE(PR.Plan.OrderedRegions, 1u);
@@ -819,8 +819,8 @@ int main() {
 })";
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "ordered-doacross");
   std::vector<std::shared_ptr<const GuardPlan>> Plans;
-  for (unsigned LoopId : findCandidateLoops(*M)) {
-    PipelineResult PR = transformLoop(*M, LoopId);
+  for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
+    PipelineResult PR = CompilationSession(*M).compileLoop(LoopId);
     ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
     if (PR.Guard)
       Plans.push_back(PR.Guard);

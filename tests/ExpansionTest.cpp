@@ -13,10 +13,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
 #include "ir/IRPrinter.h"
-#include "parallel/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -43,11 +43,11 @@ E2EResult runEndToEnd(const std::string &Src, int Threads,
   // Transform + parallel run.
   {
     std::unique_ptr<Module> M = parseMiniCOrDie(Src, "e2e transformed");
-    std::vector<unsigned> Candidates = findCandidateLoops(*M);
+    std::vector<unsigned> Candidates = CompilationSession(*M).candidateLoops();
     EXPECT_FALSE(Candidates.empty()) << "no @candidate loop";
     if (Candidates.empty())
       return R;
-    R.Pipeline = transformLoop(*M, Candidates.front(), Opts);
+    R.Pipeline = CompilationSession(*M).compileLoop(Candidates.front(), Opts);
     for (const std::string &E : R.Pipeline.Errors)
       ADD_FAILURE() << "pipeline error: " << E;
     if (!R.Pipeline.Ok)
@@ -390,9 +390,10 @@ TEST(Expansion, InterleavedLayoutRejectsRecast) {
     }
   )";
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "interleaved recast");
-  std::vector<unsigned> Candidates = findCandidateLoops(*M);
+  std::vector<unsigned> Candidates = CompilationSession(*M).candidateLoops();
   ASSERT_FALSE(Candidates.empty());
-  PipelineResult PR = transformLoop(*M, Candidates.front(), Opts);
+  PipelineResult PR =
+      CompilationSession(*M).compileLoop(Candidates.front(), Opts);
   EXPECT_FALSE(PR.Ok);
   bool FoundRecastError = false;
   for (const std::string &E : PR.Errors)

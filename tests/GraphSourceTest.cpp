@@ -14,9 +14,9 @@
 #include "analysis/AccessClasses.h"
 #include "analysis/GraphIO.h"
 #include "analysis/StaticDeps.h"
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
-#include "parallel/Pipeline.h"
 #include "profile/DepProfiler.h"
 
 #include <gtest/gtest.h>
@@ -44,7 +44,7 @@ const char *ZptrSrc = R"(
 
 LoopDepGraph profiledZptrGraph(std::unique_ptr<Module> &M) {
   M = parseMiniCOrDie(ZptrSrc, "graph source test");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
   ProfileResult PR = profileLoop(*M, Cands.front());
   return std::move(PR.Graph);
 }
@@ -133,11 +133,11 @@ TEST(GraphIO, ExternalGraphDrivesPipeline) {
   ASSERT_TRUE(parseDepGraph(Text, Loaded, Err)) << Err;
 
   std::unique_ptr<Module> M = parseMiniCOrDie(ZptrSrc, "external");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
   PipelineOptions Opts;
   Opts.Source = GraphSource::External;
   Opts.ExternalGraph = &Loaded;
-  PipelineResult PR = transformLoop(*M, Cands.front(), Opts);
+  PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front(), Opts);
   ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
   // The commutative tier claims the `check` reduction regardless of graph
   // source (it is a static proof), so the loop is DOALL here just as it is
@@ -161,13 +161,13 @@ TEST(GraphIO, ExternalGraphDrivesPipeline) {
 
 TEST(GraphIO, ExternalGraphLoopMismatchRejected) {
   std::unique_ptr<Module> M = parseMiniCOrDie(ZptrSrc, "mismatch");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
   LoopDepGraph Wrong;
   Wrong.LoopId = Cands.front() + 17;
   PipelineOptions Opts;
   Opts.Source = GraphSource::External;
   Opts.ExternalGraph = &Wrong;
-  PipelineResult PR = transformLoop(*M, Cands.front(), Opts);
+  PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front(), Opts);
   EXPECT_FALSE(PR.Ok);
 }
 
@@ -227,7 +227,7 @@ TEST(StaticDeps, FreshPerIterationHeapStillRecognized) {
     }
   )";
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "fresh");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
   AccessNumbering Num = AccessNumbering::compute(*M);
   PointsTo PT = PointsTo::compute(*M);
   LoopDepGraph Static = buildStaticDepGraph(*M, Cands.front(), PT, Num);
@@ -249,14 +249,14 @@ TEST(StaticDeps, PipelineWithStaticSourceStaysCorrectButSlow) {
     Seq = I.run();
   }
   std::unique_ptr<Module> M = parseMiniCOrDie(ZptrSrc, "static");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
   PipelineOptions Opts;
   Opts.Source = GraphSource::Static;
   // This test exercises the conservative static-graph serialization path;
   // the commutative tier would otherwise still claim the `check` reduction
   // (it is a static proof, independent of the dependence-graph source).
   Opts.Expansion.CommutativePrivatization = false;
-  PipelineResult PR = transformLoop(*M, Cands.front(), Opts);
+  PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front(), Opts);
   ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
   EXPECT_EQ(PR.Expansion.ExpandedObjects, 0u); // nothing privatizable
   InterpOptions IO;

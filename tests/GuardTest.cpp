@@ -23,10 +23,10 @@
 
 #include "analysis/AccessClasses.h"
 #include "analysis/DepGraph.h"
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Guard.h"
 #include "interp/Interp.h"
-#include "parallel/Pipeline.h"
 #include "profile/DepProfiler.h"
 #include "support/Diagnostics.h"
 
@@ -75,7 +75,7 @@ struct Transformed {
 /// Profiles \p Src's (single) candidate loop and returns the true graph.
 LoopDepGraph profiled(const char *Src, unsigned &LoopId) {
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "guard profile");
-  LoopId = findCandidateLoops(*M).front();
+  LoopId = CompilationSession(*M).candidateLoops().front();
   return std::move(profileLoop(*M, LoopId).Graph);
 }
 
@@ -85,7 +85,7 @@ LoopDepGraph profiled(const char *Src, unsigned &LoopId) {
 Transformed transformWith(const char *Src, const LoopDepGraph &G) {
   Transformed T;
   T.M = parseMiniCOrDie(Src, "guard transform");
-  T.LoopId = findCandidateLoops(*T.M).front();
+  T.LoopId = CompilationSession(*T.M).candidateLoops().front();
   PipelineOptions Opts;
   Opts.Source = GraphSource::External;
   Opts.ExternalGraph = &G;
@@ -94,7 +94,7 @@ Transformed transformWith(const char *Src, const LoopDepGraph &G) {
   // fault would go unvalidated. (WitnessPrunedCleanRunBitIdentical covers
   // the pruned path.)
   Opts.Expansion.GuardPruning = false;
-  T.PR = transformLoop(*T.M, T.LoopId, Opts);
+  T.PR = CompilationSession(*T.M).compileLoop(T.LoopId, Opts);
   return T;
 }
 
@@ -580,11 +580,11 @@ TEST_P(GuardFault, WitnessPrunedCleanRunBitIdentical) {
 
   Transformed Pruned;
   Pruned.M = parseMiniCOrDie(ProvableSrc, "guard pruned");
-  Pruned.LoopId = findCandidateLoops(*Pruned.M).front();
+  Pruned.LoopId = CompilationSession(*Pruned.M).candidateLoops().front();
   PipelineOptions Opts;
   Opts.Source = GraphSource::External;
   Opts.ExternalGraph = &True;
-  Pruned.PR = transformLoop(*Pruned.M, Pruned.LoopId, Opts);
+  Pruned.PR = CompilationSession(*Pruned.M).compileLoop(Pruned.LoopId, Opts);
   ASSERT_TRUE(Pruned.PR.Ok)
       << (Pruned.PR.Errors.empty() ? "?" : Pruned.PR.Errors.front());
   EXPECT_TRUE(!Pruned.PR.Guard || Pruned.PR.Guard->empty());

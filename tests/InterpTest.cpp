@@ -415,7 +415,7 @@ TEST(InterpTraps, NullDeref) {
 
 TEST(InterpTraps, CycleBudget) {
   InterpOptions O;
-  O.MaxCycles = 10000;
+  O.Resilience.Budget.MaxCycles = 10000;
   RunResult R = runSource(R"(
     int main() {
       int x = 1;

@@ -8,23 +8,25 @@
 // The compilation-session contracts: analyses are cached and re-served
 // (profiler runs at most once per (loop, graph source)), transform passes
 // invalidate exactly what they clobber, batch sessions compile several
-// loops off shared analyses, and the session matches the legacy one-shot
-// transformLoop bit for bit.
+// loops off shared analyses, and profiling always runs on the session's
+// bytecode while staying engine-independent.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/GraphIO.h"
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Bytecode.h"
 #include "interp/Interp.h"
 #include "ir/IRPrinter.h"
-#include "parallel/Pipeline.h"
+#include "profile/DepProfiler.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <string>
 #include <thread>
 
 using namespace gdse;
@@ -188,22 +190,6 @@ TEST(BatchCompilation, TwoLoopsOneSessionProfilesOncePerLoop) {
   ASSERT_TRUE(Par.ok()) << Par.TrapMessage;
   EXPECT_EQ(Par.Output, Seq.Output);
   EXPECT_LT(Par.SimTime, Seq.SimTime);
-}
-
-TEST(BatchCompilation, SessionMatchesLegacyTransformLoop) {
-  std::unique_ptr<Module> MLegacy = parseMiniCOrDie(OneLoop, "legacy");
-  PipelineResult RL = transformLoop(*MLegacy, findCandidateLoops(*MLegacy).front());
-
-  std::unique_ptr<Module> MSession = parseMiniCOrDie(OneLoop, "session");
-  CompilationSession S(*MSession);
-  PipelineResult RS = S.compileLoop(S.candidateLoops().front());
-
-  ASSERT_TRUE(RL.Ok);
-  ASSERT_TRUE(RS.Ok);
-  EXPECT_EQ(RS.Expansion.ExpandedObjects, RL.Expansion.ExpandedObjects);
-  EXPECT_EQ(RS.Plan.Kind, RL.Plan.Kind);
-  EXPECT_EQ(RS.PrivateAccesses, RL.PrivateAccesses);
-  EXPECT_EQ(printModule(*MSession), printModule(*MLegacy));
 }
 
 TEST(AnalysisCache, NegativeEntriesTravelTheInvalidationPath) {
@@ -376,7 +362,7 @@ TEST(BatchCompilation, SameModuleUnitsSerializeAndShareOneSession) {
   AnalysisStats RefStats = SRef.analysisStats();
 
   std::unique_ptr<Module> M = parseMiniCOrDie(TwoLoops, "split");
-  std::vector<unsigned> Loops = findCandidateLoops(*M);
+  std::vector<unsigned> Loops = CompilationSession(*M).candidateLoops();
   ASSERT_EQ(Loops.size(), 2u);
   std::vector<BatchUnit> Units(2);
   Units[0].M = M.get();
@@ -493,8 +479,6 @@ TEST(AnalysisCache, BytecodeDroppedByLoopInvalidation) {
 }
 
 TEST(AnalysisCache, ProfilingSharesTheSessionBytecode) {
-  // The profile path consults GDSE_ENGINE; pin it for a deterministic test.
-  ::setenv("GDSE_ENGINE", "bytecode", 1);
   std::unique_ptr<Module> M = parseMiniCOrDie(TwoLoops, "bytecode-profile");
   CompilationSession S(*M);
   std::vector<unsigned> Loops = S.candidateLoops();
@@ -505,25 +489,62 @@ TEST(AnalysisCache, ProfilingSharesTheSessionBytecode) {
   ASSERT_NE(S.analyses().depGraph(Loops[1], GraphSource::Profile), nullptr);
   EXPECT_EQ(S.analysisStats().ProfileRuns, 2u);
   EXPECT_EQ(S.analysisStats().BytecodeLowerings, 1u);
-  ::unsetenv("GDSE_ENGINE");
+}
+
+TEST(AnalysisCache, ProfilingIgnoresEngineEnvironment) {
+  // GDSE_ENGINE picks the engine of tools and benchmarks, never the
+  // library's: a user asking for host threads must still get bytecode
+  // profiling runs on the session's one shared lowering, not tree-walks.
+  const char *Saved = std::getenv("GDSE_ENGINE");
+  std::string SavedValue = Saved ? Saved : "";
+  ::setenv("GDSE_ENGINE", "threads", 1);
+  std::unique_ptr<Module> M = parseMiniCOrDie(TwoLoops, "engine-env-profile");
+  CompilationSession S(*M);
+  std::vector<unsigned> Loops = S.candidateLoops();
+  ASSERT_EQ(Loops.size(), 2u);
+  const LoopDepGraph *G0 =
+      S.analyses().depGraph(Loops[0], GraphSource::Profile);
+  const LoopDepGraph *G1 =
+      S.analyses().depGraph(Loops[1], GraphSource::Profile);
+  if (Saved)
+    ::setenv("GDSE_ENGINE", SavedValue.c_str(), 1);
+  else
+    ::unsetenv("GDSE_ENGINE");
+  ASSERT_NE(G0, nullptr);
+  ASSERT_NE(G1, nullptr);
+  EXPECT_EQ(S.analysisStats().ProfileRuns, 2u);
+  EXPECT_EQ(S.analysisStats().BytecodeLowerings, 1u);
 }
 
 TEST(AnalysisCache, ProfileGraphIdenticalUnderBothEngines) {
   // The graph the profiler builds must not depend on the engine: same
-  // events, same order. Compare the serialized graphs.
-  auto ProfileWith = [](const char *Engine) {
-    ::setenv("GDSE_ENGINE", Engine, 1);
-    std::unique_ptr<Module> M = parseMiniCOrDie(OneLoop, "engine-graph");
-    CompilationSession S(*M);
-    unsigned Loop = S.candidateLoops().front();
-    const LoopDepGraph *G = S.analyses().depGraph(Loop, GraphSource::Profile);
-    EXPECT_NE(G, nullptr);
-    ::unsetenv("GDSE_ENGINE");
-    return G ? *G : LoopDepGraph();
-  };
-  LoopDepGraph Tree = ProfileWith("tree");
-  LoopDepGraph Byte = ProfileWith("bytecode");
-  EXPECT_EQ(serializeDepGraph(Tree), serializeDepGraph(Byte));
+  // events, same order. Profile once on the reference tree-walker with a
+  // DepProfiler observer and compare the serialized graph with the bytecode
+  // profiles of profileLoop and of the session.
+  std::unique_ptr<Module> M = parseMiniCOrDie(OneLoop, "engine-graph");
+  CompilationSession S(*M);
+  unsigned Loop = S.candidateLoops().front();
+
+  InterpOptions IO;
+  IO.NumThreads = 1;
+  IO.SimulateParallel = false;
+  IO.Engine = ExecEngine::TreeWalk;
+  DepProfiler Profiler(Loop);
+  Interp I(*M, IO);
+  I.setObserver(&Profiler);
+  RunResult Run = I.run();
+  ASSERT_TRUE(Run.ok()) << Run.TrapMessage;
+  LoopDepGraph Tree = Profiler.takeGraph();
+
+  ProfileResult Byte = profileLoop(*M, Loop);
+  ASSERT_TRUE(Byte.Run.ok()) << Byte.Run.TrapMessage;
+  EXPECT_EQ(Byte.Run.WorkCycles, Run.WorkCycles);
+  EXPECT_EQ(serializeDepGraph(Byte.Graph), serializeDepGraph(Tree));
+
+  const LoopDepGraph *Session =
+      S.analyses().depGraph(Loop, GraphSource::Profile);
+  ASSERT_NE(Session, nullptr);
+  EXPECT_EQ(serializeDepGraph(*Session), serializeDepGraph(Tree));
 }
 
 } // namespace

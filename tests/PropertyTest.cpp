@@ -20,7 +20,6 @@
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
 #include "ir/IRPrinter.h"
-#include "parallel/Pipeline.h"
 #include "support/Support.h"
 
 #include <gtest/gtest.h>
@@ -291,7 +290,7 @@ TEST_P(PipelineProperty, TransformedEquivalentForAllConfigs) {
   for (const Config &C : Configs) {
     ParseResult P2 = parseMiniC(G.Source);
     ASSERT_TRUE(P2.ok());
-    std::vector<unsigned> Cands = findCandidateLoops(*P2.M);
+    std::vector<unsigned> Cands = CompilationSession(*P2.M).candidateLoops();
     ASSERT_EQ(Cands.size(), 1u);
     PipelineOptions Opts;
     Opts.Method = C.Method;
@@ -300,7 +299,8 @@ TEST_P(PipelineProperty, TransformedEquivalentForAllConfigs) {
       Opts.Expansion.SpanConstantPropagation = false;
       Opts.Expansion.DeadSpanStoreElimination = false;
     }
-    PipelineResult R = transformLoop(*P2.M, Cands.front(), Opts);
+    PipelineResult R =
+        CompilationSession(*P2.M).compileLoop(Cands.front(), Opts);
     ASSERT_TRUE(R.Ok) << C.Name << ": "
                       << (R.Errors.empty() ? "?" : R.Errors.front());
     for (int N : {1, 3, 8}) {
@@ -319,10 +319,11 @@ TEST_P(PipelineProperty, TransformedEquivalentForAllConfigs) {
   {
     ParseResult P3 = parseMiniC(G.Source);
     ASSERT_TRUE(P3.ok());
-    std::vector<unsigned> Cands = findCandidateLoops(*P3.M);
+    std::vector<unsigned> Cands = CompilationSession(*P3.M).candidateLoops();
     PipelineOptions Opts;
     Opts.Expansion.Layout = LayoutMode::Interleaved;
-    PipelineResult R = transformLoop(*P3.M, Cands.front(), Opts);
+    PipelineResult R =
+        CompilationSession(*P3.M).compileLoop(Cands.front(), Opts);
     if (G.HasRecast) {
       EXPECT_FALSE(R.Ok) << "recast program must be rejected by interleaved";
     } else if (R.Ok) {
@@ -515,9 +516,9 @@ TEST_P(ReductionProperty, MergeOrderDeterministic) {
 
   ParseResult P2 = parseMiniC(G.Source);
   ASSERT_TRUE(P2.ok());
-  std::vector<unsigned> Cands = findCandidateLoops(*P2.M);
+  std::vector<unsigned> Cands = CompilationSession(*P2.M).candidateLoops();
   ASSERT_EQ(Cands.size(), 1u);
-  PipelineResult R = transformLoop(*P2.M, Cands.front());
+  PipelineResult R = CompilationSession(*P2.M).compileLoop(Cands.front());
   ASSERT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
   ASSERT_GE(R.Expansion.CommutativeClasses, 1u);
   EXPECT_EQ(R.Plan.Kind, ParallelKind::DOALL);
@@ -581,9 +582,9 @@ TEST_P(ResilienceProperty, RandomFaultsNeverCorruptOrHang) {
 
   ParseResult P2 = parseMiniC(G.Source);
   ASSERT_TRUE(P2.ok());
-  std::vector<unsigned> Cands = findCandidateLoops(*P2.M);
+  std::vector<unsigned> Cands = CompilationSession(*P2.M).candidateLoops();
   ASSERT_EQ(Cands.size(), 1u);
-  PipelineResult R = transformLoop(*P2.M, Cands.front());
+  PipelineResult R = CompilationSession(*P2.M).compileLoop(Cands.front());
   ASSERT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
 
   // One injection point per seed, cycling through all four; probabilistic
@@ -620,7 +621,7 @@ TEST_P(ResilienceProperty, RandomFaultsNeverCorruptOrHang) {
     IO.Resilience.WatchdogMs = 4000;
     IO.Resilience.Faults = FaultInjector::parse(Spec, Err);
     ASSERT_NE(IO.Resilience.Faults, nullptr) << Spec << ": " << Err;
-    RunResult Par = runResilient(*P2.M, IO);
+    RunResult Par = Interp(*P2.M, IO).run();
     if (Par.ok()) {
       EXPECT_EQ(Par.Output, Clean.Output) << "engine " << int(E);
       EXPECT_EQ(Par.ExitCode, Clean.ExitCode) << "engine " << int(E);

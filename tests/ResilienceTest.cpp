@@ -10,16 +10,15 @@
 // delays, spurious guard violations) against every engine, asserting the
 // exact contract of each ladder rung — budget breaches become one attributed
 // trap, a dead worker pool degrades the loop to the simulated path
-// bit-identically, a wedged DOACROSS frontier is detected by the watchdog and
-// either recovered in-loop (ladder on) or surfaced as an engine fault that
-// runResilient() retries on a serial engine. Nothing in here may hang: every
-// scenario must terminate within its deadline.
+// bit-identically, and a wedged DOACROSS frontier is detected by the watchdog
+// and recovered in-loop on the simulated path. Nothing in here may hang:
+// every scenario must terminate within its deadline.
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
-#include "parallel/Pipeline.h"
 #include "support/Diagnostics.h"
 #include "support/Resilience.h"
 
@@ -146,7 +145,7 @@ int main() {
 std::unique_ptr<Module> transformed(const char *Src, ParallelKind Expect) {
   ParseResult PR = parseMiniC(Src);
   EXPECT_TRUE(PR.ok());
-  std::vector<unsigned> Cands = findCandidateLoops(*PR.M);
+  std::vector<unsigned> Cands = CompilationSession(*PR.M).candidateLoops();
   EXPECT_EQ(Cands.size(), 1u);
   PipelineOptions Opts;
   if (Expect == ParallelKind::DOACROSS) {
@@ -155,7 +154,7 @@ std::unique_ptr<Module> transformed(const char *Src, ParallelKind Expect) {
     // cross-iteration tickets.
     Opts.Source = GraphSource::Static;
   }
-  PipelineResult R = transformLoop(*PR.M, Cands.front(), Opts);
+  PipelineResult R = CompilationSession(*PR.M).compileLoop(Cands.front(), Opts);
   EXPECT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
   EXPECT_EQ(R.Plan.Kind, Expect);
   if (Expect == ParallelKind::DOACROSS)
@@ -377,107 +376,11 @@ TEST_P(ResilienceThreads, WatchdogRecoversWedgedDoacross) {
   EXPECT_EQ(RO.Faults->fireCount(FaultInjector::Point::LaneDelay), 1u);
 }
 
-TEST_P(ResilienceThreads, WatchdogWithLadderOffTrapsAsEngineFault) {
-  // Same wedge, in-loop recovery disabled: the run must still terminate —
-  // never hang — with one attributed watchdog trap marked as an engine
-  // fault, the hook runResilient() keys its retry on.
-  const int N = GetParam();
-  if (N < 2)
-    GTEST_SKIP() << "DOACROSS needs at least two workers to wedge";
-  std::unique_ptr<Module> M = transformed(DoacrossSrc, ParallelKind::DOACROSS);
-  ResilienceOptions RO;
-  RO.WatchdogMs = 20;
-  RO.Ladder = false;
-  RO.Faults = parseOrDie("lane-delay@1,delay-ms=400");
-  RunResult R = runWith(*M, ExecEngine::Threads, N, RO);
-  ASSERT_TRUE(R.Trapped);
-  EXPECT_TRUE(R.EngineFault);
-  EXPECT_NE(R.TrapMessage.find("DOACROSS watchdog"), std::string::npos)
-      << R.TrapMessage;
-  EXPECT_GE(totalWatchdogFires(R), 1u);
-}
-
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ResilienceThreads,
                          ::testing::Values(1, 2, 4),
                          [](const ::testing::TestParamInfo<int> &I) {
                            return "N" + std::to_string(I.param);
                          });
-
-//===----------------------------------------------------------------------===//
-// The cross-engine ladder: runResilient retries engine faults serially
-//===----------------------------------------------------------------------===//
-
-TEST(ResilienceLadder, EngineFaultRetriesOnSerialVM) {
-  // Threads attempt wedges (in-loop recovery off) -> engine fault ->
-  // runResilient re-runs the whole invocation on the bytecode VM. The shared
-  // injector's one-shot already fired, so the retry is clean, and the final
-  // result is bit-identical to a plain serial run.
-  std::unique_ptr<Module> M = transformed(DoacrossSrc, ParallelKind::DOACROSS);
-  RunResult Baseline = runWith(*M, ExecEngine::Bytecode, 4,
-                               ResilienceOptions());
-  ASSERT_TRUE(Baseline.ok()) << Baseline.TrapMessage;
-
-  DiagnosticEngine Diags;
-  InterpOptions IO;
-  IO.Engine = ExecEngine::Threads;
-  IO.NumThreads = 4;
-  IO.Resilience.WatchdogMs = 20;
-  IO.Resilience.Ladder = false;
-  IO.Resilience.Faults = parseOrDie("lane-delay@1,delay-ms=400");
-  RunResult R = runResilient(*M, IO, "main", &Diags);
-  ASSERT_TRUE(R.ok()) << R.TrapMessage;
-  EXPECT_FALSE(R.EngineFault);
-  EXPECT_EQ(R.Output, Baseline.Output);
-  EXPECT_EQ(R.ExitCode, Baseline.ExitCode);
-  EXPECT_EQ(R.WorkCycles, Baseline.WorkCycles);
-  EXPECT_EQ(R.SimTime, Baseline.SimTime);
-  // Exactly one hop, attributed: threads -> bytecode.
-  EXPECT_TRUE(hasResilienceDiag(
-      Diags, "retrying the invocation on the bytecode engine"));
-  EXPECT_FALSE(hasResilienceDiag(
-      Diags, "retrying the invocation on the tree-walk engine"));
-  EXPECT_GE(totalDegradations(R) + totalWatchdogFires(R), 1u);
-}
-
-TEST(ResilienceLadder, CleanRunsPassThroughUntouched) {
-  std::unique_ptr<Module> M = transformed(DoallSrc, ParallelKind::DOALL);
-  RunResult Baseline = runWith(*M, ExecEngine::Bytecode, 4,
-                               ResilienceOptions());
-  DiagnosticEngine Diags;
-  InterpOptions IO;
-  IO.Engine = ExecEngine::Bytecode;
-  IO.NumThreads = 4;
-  RunResult R = runResilient(*M, IO, "main", &Diags);
-  ASSERT_TRUE(R.ok()) << R.TrapMessage;
-  EXPECT_EQ(R.Output, Baseline.Output);
-  EXPECT_EQ(R.WorkCycles, Baseline.WorkCycles);
-  EXPECT_TRUE(Diags.diagnostics().empty());
-  EXPECT_EQ(totalDegradations(R), 0u);
-}
-
-TEST(ResilienceLadder, ResourceBreachIsNotRetried) {
-  // A deadline breach is a resource fault, not an engine fault: re-running
-  // would breach again, so runResilient must hand the trap through with no
-  // hop diagnostics.
-  const char *Src = R"(
-int main() {
-  int x = 0;
-  while (x < 2000000000) { x = x + 1; }
-  return x;
-})";
-  ParseResult PR = parseMiniC(Src);
-  ASSERT_TRUE(PR.ok());
-  DiagnosticEngine Diags;
-  InterpOptions IO;
-  IO.Engine = ExecEngine::Threads;
-  IO.NumThreads = 4;
-  IO.Resilience.Budget.DeadlineMs = 40;
-  RunResult R = runResilient(*PR.M, IO, "main", &Diags);
-  ASSERT_TRUE(R.Trapped);
-  EXPECT_FALSE(R.EngineFault);
-  EXPECT_NE(R.TrapMessage.find("deadline"), std::string::npos);
-  EXPECT_TRUE(Diags.diagnostics().empty());
-}
 
 //===----------------------------------------------------------------------===//
 // Spurious guard violations
@@ -515,11 +418,11 @@ int main() {
   }
   ParseResult P2 = parseMiniC(GuardSrc);
   ASSERT_TRUE(P2.ok());
-  std::vector<unsigned> Cands = findCandidateLoops(*P2.M);
+  std::vector<unsigned> Cands = CompilationSession(*P2.M).candidateLoops();
   ASSERT_EQ(Cands.size(), 1u);
   PipelineOptions Opts;
   Opts.Expansion.GuardPruning = false; // keep the full plan armed
-  PipelineResult R = transformLoop(*P2.M, Cands.front(), Opts);
+  PipelineResult R = CompilationSession(*P2.M).compileLoop(Cands.front(), Opts);
   ASSERT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
   ASSERT_NE(R.Guard, nullptr);
 

@@ -11,9 +11,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
+#include "interp/Interp.h"
 #include "ir/IRPrinter.h"
-#include "parallel/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -25,9 +26,9 @@ namespace {
 std::string transformed(const std::string &Src,
                         PipelineOptions Opts = PipelineOptions()) {
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "span rules");
-  std::vector<unsigned> Cands = findCandidateLoops(*M);
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
   EXPECT_EQ(Cands.size(), 1u);
-  PipelineResult PR = transformLoop(*M, Cands.front(), Opts);
+  PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front(), Opts);
   EXPECT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
   if (!PR.Ok)
     return "";
@@ -340,7 +341,8 @@ void expectParallelEquivalent(const char *Src, unsigned Threads) {
   RunResult Seq = IO.run();
   ASSERT_TRUE(Seq.ok()) << Seq.TrapMessage;
   std::unique_ptr<Module> MT = parseMiniCOrDie(Src, "xform");
-  PipelineResult PR = transformLoop(*MT, findCandidateLoops(*MT).front());
+  unsigned Loop = CompilationSession(*MT).candidateLoops().front();
+  PipelineResult PR = CompilationSession(*MT).compileLoop(Loop);
   ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
   InterpOptions Opt;
   Opt.NumThreads = Threads;
@@ -524,7 +526,8 @@ TEST(Promotion, RecursiveStructPromotion) {
   Interp IO(*MO);
   RunResult Seq = IO.run();
   std::unique_ptr<Module> MT = parseMiniCOrDie(Src, "xform");
-  PipelineResult PR = transformLoop(*MT, findCandidateLoops(*MT).front());
+  unsigned Loop = CompilationSession(*MT).candidateLoops().front();
+  PipelineResult PR = CompilationSession(*MT).compileLoop(Loop);
   ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
   InterpOptions Opt;
   Opt.NumThreads = 4;

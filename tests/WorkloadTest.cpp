@@ -12,9 +12,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
-#include "parallel/Pipeline.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -28,8 +28,11 @@ struct WorkloadCase {
   int Threads;
 };
 
+// The workload name is held as a std::string, not a const char *: gtest
+// prints a pointer inside a tuple by address, which would put a different
+// number into the listed test name on every run.
 class WorkloadEquivalence
-    : public ::testing::TestWithParam<std::tuple<const char *, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(WorkloadEquivalence, TransformedMatchesOriginal) {
   const WorkloadInfo *W = findWorkload(std::get<0>(GetParam()));
@@ -45,11 +48,11 @@ TEST_P(WorkloadEquivalence, TransformedMatchesOriginal) {
   }
 
   std::unique_ptr<Module> M = parseMiniCOrDie(W->Source, W->Name);
-  std::vector<unsigned> Candidates = findCandidateLoops(*M);
+  std::vector<unsigned> Candidates = CompilationSession(*M).candidateLoops();
   ASSERT_EQ(Candidates.size(), W->NumCandidates) << W->Name;
 
   for (unsigned LoopId : Candidates) {
-    PipelineResult PR = transformLoop(*M, LoopId);
+    PipelineResult PR = CompilationSession(*M).compileLoop(LoopId);
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
                        << (PR.Errors.empty() ? "?" : PR.Errors.front());
     EXPECT_TRUE(PR.Plan.Parallelized) << W->Name;
@@ -73,8 +76,8 @@ TEST_P(WorkloadEquivalence, TransformedMatchesOriginal) {
   EXPECT_TRUE(SawParallelLoop) << W->Name;
 }
 
-std::vector<std::tuple<const char *, int>> allCases() {
-  std::vector<std::tuple<const char *, int>> Cases;
+std::vector<std::tuple<std::string, int>> allCases() {
+  std::vector<std::tuple<std::string, int>> Cases;
   for (const WorkloadInfo &W : allWorkloads())
     for (int N : {1, 4, 8})
       Cases.push_back({W.Name, N});
@@ -83,7 +86,7 @@ std::vector<std::tuple<const char *, int>> allCases() {
 
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, WorkloadEquivalence, ::testing::ValuesIn(allCases()),
-    [](const ::testing::TestParamInfo<std::tuple<const char *, int>> &Info) {
+    [](const ::testing::TestParamInfo<std::tuple<std::string, int>> &Info) {
       std::string Name = std::get<0>(Info.param);
       for (char &C : Name)
         if (!isalnum(static_cast<unsigned char>(C)))
@@ -109,11 +112,11 @@ TEST_P(WorkloadRtPriv, RtPrivMatchesOriginal) {
   }
 
   std::unique_ptr<Module> M = parseMiniCOrDie(W->Source, W->Name);
-  std::vector<unsigned> Candidates = findCandidateLoops(*M);
+  std::vector<unsigned> Candidates = CompilationSession(*M).candidateLoops();
   PipelineOptions Opts;
   Opts.Method = PrivatizationMethod::Runtime;
   for (unsigned LoopId : Candidates) {
-    PipelineResult PR = transformLoop(*M, LoopId, Opts);
+    PipelineResult PR = CompilationSession(*M).compileLoop(LoopId, Opts);
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
                        << (PR.Errors.empty() ? "?" : PR.Errors.front());
   }

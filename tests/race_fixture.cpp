@@ -21,7 +21,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Pipeline.h"
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
 #include "ir/IR.h"
@@ -53,7 +53,7 @@ int main() {
   // Number the loops, then lie: mark the candidate DOALL with no expansion,
   // no guard plan, nothing. A transformed module would have privatized
   // `counter`; this one shares it across all four workers.
-  std::vector<unsigned> Loops = findCandidateLoops(*M);
+  std::vector<unsigned> Loops = CompilationSession(*M).candidateLoops();
   if (Loops.size() != 1) {
     std::fprintf(stderr, "race fixture: expected 1 candidate loop, got %zu\n",
                  Loops.size());
