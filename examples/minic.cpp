@@ -116,11 +116,11 @@ int main(int argc, char **argv) {
       AuditDeps = true;
     else if (Arg.rfind("--dump=", 0) == 0) {
       Dump = Arg.substr(7);
-      if (Dump != "points-to" && Dump != "static-deps" && Dump != "classes" &&
-          Dump != "witness") {
+      if (Dump != "points-to" && Dump != "deps" && Dump != "static-deps" &&
+          Dump != "classes" && Dump != "witness") {
         std::fprintf(stderr,
                      "unknown dump '%s' "
-                     "(points-to|static-deps|classes|witness)\n",
+                     "(points-to|deps|static-deps|classes|witness)\n",
                      Dump.c_str());
         return 1;
       }
@@ -142,7 +142,7 @@ int main(int argc, char **argv) {
                  "[--deadline-ms N] [--mem-budget N] [--watchdog-ms N] "
                  "[--faults SPEC] "
                  "[--transform] [--audit-deps] "
-                 "[--dump=points-to|static-deps|classes|witness] "
+                 "[--dump=points-to|deps|static-deps|classes|witness] "
                  "[--dump-ir] [--time-passes] [--stats]\n");
     return 1;
   }
@@ -173,7 +173,9 @@ int main(int argc, char **argv) {
   if (!Dump.empty()) {
     // Analysis dumps are a compilation mode of their own: print one
     // deterministic, diffable report per file on the UNTRANSFORMED module
-    // and exit without executing anything.
+    // and exit without executing anything. --dump=deps runs the profiler,
+    // so a profiling run that traps makes the exit status 1.
+    bool DumpFailed = false;
     for (InputProgram &P : Programs) {
       if (Multi)
         std::printf("== %s ==\n", P.Path.c_str());
@@ -184,8 +186,10 @@ int main(int argc, char **argv) {
         continue;
       }
       for (unsigned LoopId : S.candidateLoops()) {
-        if (Dump == "static-deps") {
-          const LoopDepGraph *G = AM.depGraph(LoopId, GraphSource::Static);
+        if (Dump == "deps" || Dump == "static-deps") {
+          const LoopDepGraph *G = AM.depGraph(
+              LoopId, Dump == "deps" ? GraphSource::Profile
+                                     : GraphSource::Static);
           if (G)
             std::printf("%s", G->str().c_str());
         } else if (Dump == "classes") {
@@ -198,11 +202,13 @@ int main(int argc, char **argv) {
           std::printf("%s", AM.staticWitness(LoopId)->str().c_str());
         }
       }
-      for (const Diagnostic &D : S.diags().diagnostics())
+      for (const Diagnostic &D : S.diags().diagnostics()) {
         std::fprintf(stderr, "%s%s%s\n", Multi ? P.Path.c_str() : "",
                      Multi ? ": " : "", D.str().c_str());
+        DumpFailed |= D.Severity == DiagSeverity::Error;
+      }
     }
-    return 0;
+    return DumpFailed ? 1 : 0;
   }
 
   if (Transform) {

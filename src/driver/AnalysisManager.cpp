@@ -204,8 +204,14 @@ const LoopDepGraph *AnalysisManager::depGraph(unsigned LoopId,
     std::shared_ptr<const BytecodeModule> Precompiled = bytecode();
     TimerScope T(TR, "analysis.profile");
     ProfileResult Prof = profileLoop(M, LoopId, this->Entry, Precompiled);
-    if (TR)
+    if (TR) {
       TR->addVmCycles("analysis.profile", Prof.Run.WorkCycles);
+      // ProfileStats::ShadowPages is not a counter: it depends on where the
+      // host allocator places blocks, and counters must be deterministic.
+      TR->bumpCounter("profile.accesses", Prof.Stats.Accesses);
+      TR->bumpCounter("profile.bytes", Prof.Stats.Bytes);
+      TR->bumpCounter("profile.dropped_reads", Prof.Stats.DroppedReads);
+    }
     if (!Prof.Run.ok()) {
       Entry.FailDiag = DE.error("profiling run failed: " + Prof.Run.TrapMessage);
       Entry.Failed = true;

@@ -7,29 +7,57 @@
 
 #include "profile/DepProfiler.h"
 
+#include "support/Support.h"
+
+#include <algorithm>
+#include <cstring>
+#include <new>
+
+#include <sys/mman.h>
+
 using namespace gdse;
+
+namespace {
+/// Stamps are 32-bit; rebaseStamps() renumbers them before they wrap.
+constexpr uint32_t MaxSeq = ~uint32_t(0);
+} // namespace
 
 DepProfiler::DepProfiler(unsigned TargetLoopId) : TargetLoopId(TargetLoopId) {
   Graph.LoopId = TargetLoopId;
-  Shadow.reserve(1 << 16);
 }
 
 DepProfiler::~DepProfiler() = default;
+
+void DepProfiler::PageDeleter::operator()(Page *P) const {
+  munmap(P, sizeof(Page));
+}
+
+size_t DepProfiler::EdgeHash::operator()(const DepEdge &E) const {
+  uint64_t H = E.Src * 0x9E3779B97F4A7C15ull ^ E.Dst * 0xC2B2AE3D27D4EB4Full ^
+               (static_cast<uint64_t>(E.Kind) << 1 | E.Carried) *
+                   0x165667B19E3779F9ull;
+  return static_cast<size_t>(H ^ H >> 32);
+}
 
 void DepProfiler::onLoopEnter(unsigned LoopId) {
   if (LoopId != TargetLoopId)
     return;
   if (InsideDepth++ == 0) {
-    ++CurInvocation;
     ++Graph.Invocations;
-    CurIter = -1; // set by the first onLoopIter
+    if (Seq == MaxSeq)
+      rebaseStamps();
+    InvStart = Seq + 1;
+    CurSeq = 0; // set by the first onLoopIter
   }
 }
 
 void DepProfiler::onLoopIter(unsigned LoopId, uint64_t Iter) {
+  (void)Iter;
   if (LoopId != TargetLoopId || InsideDepth != 1)
     return;
-  CurIter = static_cast<int64_t>(Iter);
+  if (Seq == MaxSeq)
+    rebaseStamps();
+  CurSeq = ++Seq;
   ++Graph.Iterations;
 }
 
@@ -37,139 +65,244 @@ void DepProfiler::onLoopExit(unsigned LoopId) {
   if (LoopId != TargetLoopId)
     return;
   if (InsideDepth > 0 && --InsideDepth == 0)
-    CurIter = -1;
+    CurSeq = 0;
 }
 
-void DepProfiler::recordLoadByte(AccessId Id, uint64_t Addr) {
-  ShadowCell &Cell = Shadow[Addr];
-  bool InLoop = CurIter >= 0;
+void DepProfiler::rebaseStamps() {
+  // Order-preserving renumbering: every stamp of an earlier invocation
+  // becomes 1, the current invocation's start becomes 2.
+  auto Rebase = [this](uint32_t S) -> uint32_t {
+    if (S == 0)
+      return 0;
+    return S < InvStart ? 1 : S - InvStart + 2;
+  };
+  for (auto &[Key, P] : Pages) {
+    (void)Key;
+    for (Cell &C : P->Cells) {
+      C.WriteSeq = Rebase(C.WriteSeq);
+      for (uint32_t &S : C.ReaderSeqs)
+        S = Rebase(S);
+    }
+  }
+  Seq = Rebase(Seq);
+  CurSeq = Rebase(CurSeq);
+  InvStart = 2;
+  if (Seq == MaxSeq)
+    reportFatalError("dependence profiler: one invocation of the target "
+                     "loop ran out of 32-bit iteration stamps");
+}
 
-  if (InLoop) {
-    bool WrittenThisInvocation = Cell.HasWrite &&
-                                 Cell.WriteInvocation == CurInvocation &&
-                                 Cell.WriteIter >= 0;
-    if (WrittenThisInvocation) {
-      if (Cell.WriteIter == CurIter) {
-        // Covered by a write of the same iteration: loop-independent flow.
-        Graph.addEdge(Cell.LastWrite, Id, DepKind::Flow, /*Carried=*/false);
+DepProfiler::Page *DepProfiler::fillSlot(PageSlot &Slot, uint64_t Key,
+                                         bool Create) {
+  if (Slot.Key != Key) {
+    auto It = Pages.find(Key);
+    Slot.Key = Key;
+    Slot.P = It == Pages.end() ? nullptr : It->second.get();
+  }
+  if (!Slot.P && Create) {
+    // Anonymous mappings read as zero (a missing page reads as all-zero
+    // cells too), keep host pages of never-touched cells unresident, and
+    // go back to the kernel when the profiler ends. From the heap, 160 KiB
+    // blocks recycled across profiling runs would be zeroed in full.
+    void *Mem = mmap(nullptr, sizeof(Page), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (Mem == MAP_FAILED)
+      throw std::bad_alloc();
+    auto *P = static_cast<Page *>(Mem);
+    Pages.emplace(Key, std::unique_ptr<Page, PageDeleter>(P));
+    Slot.P = P;
+    ++Stats.ShadowPages;
+  }
+  return Slot.P;
+}
+
+inline DepProfiler::Cell *DepProfiler::cells(uint64_t Addr, bool Create) {
+  uint64_t Key = Addr >> PageBits;
+  PageSlot &Slot = PageCache[Key % PageCacheSize];
+  Page *P = Slot.P;
+  if (Slot.Key != Key || (!P && Create)) [[unlikely]]
+    P = fillSlot(Slot, Key, Create);
+  return P ? P->Cells + (Addr & (PageCells - 1)) : nullptr;
+}
+
+inline void DepProfiler::mark(std::vector<uint8_t> &Flags, AccessId Id) {
+  if (Id == InvalidAccessId)
+    return;
+  if (Id >= Flags.size())
+    Flags.resize(std::max<size_t>(Id + 1, Flags.size() * 2));
+  Flags[Id] = 1;
+}
+
+inline void DepProfiler::addEdge(AccessId Src, AccessId Dst, DepKind K,
+                                 bool Carried) {
+  if (Src == InvalidAccessId || Dst == InvalidAccessId)
+    return;
+  DepEdge E{Src, Dst, K, Carried};
+  DepEdge &Slot = EdgeCache[EdgeHash()(E) % EdgeCacheSize];
+  if (Slot == E)
+    return;
+  Slot = E;
+  Edges.insert(E);
+}
+
+inline void DepProfiler::loadByte(Cell &C, AccessId Id) {
+  if (CurSeq == 0) {
+    // Read outside the loop: an in-loop store (of ANY invocation) whose
+    // value is still visible here is downwards-exposed (Definition 3).
+    if (C.WriteSeq != 0)
+      mark(DownwardsExposed, C.Writer);
+    return;
+  }
+  if (C.WriteSeq >= InvStart) {
+    // Definition 1: a read covered by a write of its own iteration is
+    // loop-independent flow; otherwise the flow is carried.
+    addEdge(C.Writer, Id, DepKind::Flow, /*Carried=*/C.WriteSeq != CurSeq);
+  } else {
+    // Value comes from outside the current loop invocation (Definition 2).
+    mark(UpwardsExposed, Id);
+  }
+  // Record the read for later anti-dependence edges.
+  for (unsigned I = 0; I != MaxReaders; ++I) {
+    if (C.ReaderSeqs[I] == 0) {
+      C.ReaderIds[I] = Id;
+      C.ReaderSeqs[I] = CurSeq;
+      return;
+    }
+    if (C.ReaderIds[I] == Id) {
+      C.ReaderSeqs[I] = CurSeq;
+      return;
+    }
+  }
+  ++Stats.DroppedReads;
+}
+
+inline void DepProfiler::storeByte(Cell &C, AccessId Id) {
+  // Output dependence with the previous in-loop write of this invocation.
+  if (C.WriteSeq >= InvStart)
+    addEdge(C.Writer, Id, DepKind::Output, /*Carried=*/C.WriteSeq < CurSeq);
+  // Anti dependences with this invocation's reads since the last write.
+  for (unsigned I = 0; I != MaxReaders && C.ReaderSeqs[I] != 0; ++I)
+    if (C.ReaderSeqs[I] >= InvStart)
+      addEdge(C.ReaderIds[I], Id, DepKind::Anti,
+              /*Carried=*/C.ReaderSeqs[I] < CurSeq);
+  C.Writer = Id;
+  C.WriteSeq = CurSeq;
+  // Clear the ids too, so cells with one logical state compare equal.
+  std::memset(C.ReaderIds, 0, sizeof(C.ReaderIds));
+  std::memset(C.ReaderSeqs, 0, sizeof(C.ReaderSeqs));
+}
+
+template <bool IsWrite> inline void DepProfiler::step(Cell &C, AccessId Id) {
+  if constexpr (IsWrite)
+    storeByte(C, Id);
+  else
+    loadByte(C, Id);
+}
+
+bool DepProfiler::uniform(const Cell *C, uint64_t N) {
+  // Cells have no padding, and unused reader slots are always zero, so
+  // two cells hold the same state exactly when their bytes are equal.
+  for (uint64_t K = 1; K != N; ++K)
+    if (std::memcmp(&C[K], &C[0], sizeof(Cell)) != 0)
+      return false;
+  return true;
+}
+
+void DepProfiler::wipeRange(uint64_t Addr, uint64_t Size) {
+  while (Size != 0) {
+    uint64_t N = std::min(Size, PageCells - (Addr & (PageCells - 1)));
+    if (Cell *C = cells(Addr, /*Create=*/false))
+      std::memset(C, 0, N * sizeof(Cell));
+    Addr += N;
+    Size -= N;
+  }
+}
+
+template <bool IsWrite>
+void DepProfiler::access(AccessId Id, uint64_t Addr, uint64_t Size) {
+  ++Stats.Accesses;
+  Stats.Bytes += Size;
+  const bool InLoop = CurSeq != 0;
+  if (IsWrite && !InLoop) {
+    wipeRange(Addr, Size); // a write outside the loop resets the cells
+    return;
+  }
+  if (InLoop && Id != InvalidAccessId) {
+    if (Id >= DynCount.size())
+      DynCount.resize(std::max<size_t>(Id + 1, DynCount.size() * 2));
+    ++DynCount[Id];
+  }
+  while (Size != 0) {
+    uint64_t N = std::min(Size, PageCells - (Addr & (PageCells - 1)));
+    // Only in-loop accesses need a page: on a missing page every cell
+    // reads as never written, so an outside load has nothing to see.
+    if (Cell *C = cells(Addr, /*Create=*/InLoop)) {
+      if (InLoop && uniform(C, N)) {
+        // One shadow state for every byte: step it once and replicate.
+        // Edges and exposure marks are sets, so only the dropped-read
+        // count needs scaling by the byte count.
+        uint64_t Dropped = Stats.DroppedReads;
+        step<IsWrite>(C[0], Id);
+        Stats.DroppedReads += (Stats.DroppedReads - Dropped) * (N - 1);
+        for (uint64_t K = 1; K != N; ++K)
+          C[K] = C[0];
       } else {
-        // Definition 1: carried flow only when not covered this iteration.
-        Graph.addEdge(Cell.LastWrite, Id, DepKind::Flow, /*Carried=*/true);
-      }
-    } else if (Id != InvalidAccessId) {
-      // Value comes from outside the current loop invocation (Definition 2).
-      Graph.UpwardsExposedLoads.insert(Id);
-    }
-    // Record the read for later anti-dependence edges.
-    CellReads &R = Cell.Reads;
-    for (unsigned I = 0; I != R.Count; ++I) {
-      if (R.Ids[I] == Id) {
-        R.Iters[I] = CurIter;
-        R.Invocations[I] = CurInvocation;
-        return;
+        for (uint64_t K = 0; K != N; ++K)
+          step<IsWrite>(C[K], Id);
       }
     }
-    if (R.Count < CellReads::Capacity) {
-      R.Ids[R.Count] = Id;
-      R.Iters[R.Count] = CurIter;
-      R.Invocations[R.Count] = CurInvocation;
-      ++R.Count;
-    }
-    return;
+    Addr += N;
+    Size -= N;
   }
-
-  // Read outside the loop: an in-loop store (of ANY invocation) whose value
-  // is still visible here is downwards-exposed (Definition 3).
-  if (Cell.HasWrite && Cell.WriteIter >= 0 &&
-      Cell.LastWrite != InvalidAccessId)
-    Graph.DownwardsExposedStores.insert(Cell.LastWrite);
-}
-
-void DepProfiler::recordStoreByte(AccessId Id, uint64_t Addr) {
-  ShadowCell &Cell = Shadow[Addr];
-  bool InLoop = CurIter >= 0;
-
-  if (InLoop) {
-    // Output dependence with the previous in-loop write of this invocation.
-    if (Cell.HasWrite && Cell.WriteIter >= 0 &&
-        Cell.WriteInvocation == CurInvocation)
-      Graph.addEdge(Cell.LastWrite, Id, DepKind::Output,
-                    /*Carried=*/Cell.WriteIter < CurIter);
-    // Anti dependences with reads since the last write.
-    for (unsigned I = 0; I != Cell.Reads.Count; ++I)
-      if (Cell.Reads.Invocations[I] == CurInvocation &&
-          Cell.Reads.Iters[I] >= 0)
-        Graph.addEdge(Cell.Reads.Ids[I], Id, DepKind::Anti,
-                      /*Carried=*/Cell.Reads.Iters[I] < CurIter);
-    Cell.LastWrite = Id;
-    Cell.WriteIter = CurIter;
-    Cell.WriteInvocation = CurInvocation;
-    Cell.HasWrite = true;
-    Cell.Reads.Count = 0;
-    return;
-  }
-
-  Cell.LastWrite = Id;
-  Cell.WriteIter = -1;
-  Cell.WriteInvocation = CurInvocation;
-  Cell.HasWrite = true;
-  Cell.Reads.Count = 0;
 }
 
 void DepProfiler::onLoad(AccessId Id, uint64_t Addr, uint64_t Size) {
-  if (CurIter >= 0 && Id != InvalidAccessId)
-    ++Graph.DynCount[Id];
-  for (uint64_t K = 0; K != Size; ++K)
-    recordLoadByte(Id, Addr + K);
+  access<false>(Id, Addr, Size);
 }
 
 void DepProfiler::onStore(AccessId Id, uint64_t Addr, uint64_t Size) {
-  if (CurIter >= 0 && Id != InvalidAccessId)
-    ++Graph.DynCount[Id];
-  for (uint64_t K = 0; K != Size; ++K)
-    recordStoreByte(Id, Addr + K);
+  access<true>(Id, Addr, Size);
 }
 
 void DepProfiler::onBulkAccess(bool IsWrite, uint64_t Addr, uint64_t Size,
                                Builtin B, uint32_t CallSiteId) {
   (void)CallSiteId;
-  bool InLoop = CurIter >= 0;
-  if (InLoop) {
-    // calloc zero-fill defines fresh memory and cannot create dependences
-    // with anything (the block is new). Other bulk accesses are not modeled
-    // as graph vertices; flag the loop so the planner stays conservative.
-    if (B != Builtin::CallocFn)
-      Graph.HasUnmodeled = true;
-  }
-  if (IsWrite) {
-    for (uint64_t K = 0; K != Size; ++K)
-      recordStoreByte(InvalidAccessId, Addr + K);
-  } else {
-    for (uint64_t K = 0; K != Size; ++K)
-      recordLoadByte(InvalidAccessId, Addr + K);
-  }
-}
-
-void DepProfiler::wipeRange(uint64_t Addr, uint64_t Size) {
-  // Cheap path: few shadowed bytes -> iterate the map instead of the range.
-  if (Size > Shadow.size() * 2) {
-    for (auto It = Shadow.begin(); It != Shadow.end();) {
-      if (It->first >= Addr && It->first < Addr + Size)
-        It = Shadow.erase(It);
-      else
-        ++It;
-    }
-    return;
-  }
-  for (uint64_t K = 0; K != Size; ++K)
-    Shadow.erase(Addr + K);
+  // calloc zero-fill defines fresh memory and cannot create dependences
+  // with anything (the block is new). Other bulk accesses are not modeled
+  // as graph vertices; flag the loop so the planner stays conservative.
+  if (CurSeq != 0 && B != Builtin::CallocFn)
+    Graph.HasUnmodeled = true;
+  if (IsWrite)
+    access<true>(InvalidAccessId, Addr, Size);
+  else
+    access<false>(InvalidAccessId, Addr, Size);
 }
 
 void DepProfiler::onAlloc(const Allocation &A) { wipeRange(A.Base, A.Size); }
 
 void DepProfiler::onFree(const Allocation &A) { wipeRange(A.Base, A.Size); }
 
-LoopDepGraph DepProfiler::takeGraph() { return std::move(Graph); }
+LoopDepGraph DepProfiler::takeGraph() {
+  std::vector<DepEdge> Sorted(Edges.begin(), Edges.end());
+  std::sort(Sorted.begin(), Sorted.end());
+  Graph.Edges.insert(Sorted.begin(), Sorted.end());
+  for (AccessId Id = 0; Id < DynCount.size(); ++Id)
+    if (DynCount[Id] != 0)
+      Graph.DynCount.emplace_hint(Graph.DynCount.end(), Id, DynCount[Id]);
+  for (AccessId Id = 0; Id < UpwardsExposed.size(); ++Id)
+    if (UpwardsExposed[Id])
+      Graph.UpwardsExposedLoads.insert(Graph.UpwardsExposedLoads.end(), Id);
+  for (AccessId Id = 0; Id < DownwardsExposed.size(); ++Id)
+    if (DownwardsExposed[Id])
+      Graph.DownwardsExposedStores.insert(Graph.DownwardsExposedStores.end(),
+                                          Id);
+  Edges.clear();
+  std::fill(std::begin(EdgeCache), std::end(EdgeCache), DepEdge{});
+  DynCount.clear();
+  UpwardsExposed.clear();
+  DownwardsExposed.clear();
+  return std::move(Graph);
+}
 
 ProfileResult
 gdse::profileLoop(Module &M, unsigned TargetLoopId, const std::string &Entry,
@@ -185,5 +318,6 @@ gdse::profileLoop(Module &M, unsigned TargetLoopId, const std::string &Entry,
   ProfileResult R;
   R.Run = I.run(Entry);
   R.Graph = Profiler.takeGraph();
+  R.Stats = Profiler.stats();
   return R;
 }

@@ -11,10 +11,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceDepProfiler.h"
+
 #include "analysis/AccessClasses.h"
+#include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
 #include "ir/AccessInfo.h"
 #include "profile/DepProfiler.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -28,6 +32,7 @@ struct ProfiledProgram {
   unsigned TargetLoopId = 0;
   LoopDepGraph Graph;
   RunResult Run;
+  ProfileStats Stats;
 };
 
 /// Parses, numbers, finds the first @candidate loop, and profiles it.
@@ -48,6 +53,7 @@ ProfiledProgram profileCandidate(const std::string &Src) {
   EXPECT_TRUE(R.Run.ok()) << R.Run.TrapMessage;
   P.Graph = std::move(R.Graph);
   P.Run = std::move(R.Run);
+  P.Stats = R.Stats;
   return P;
 }
 
@@ -412,6 +418,321 @@ TEST(Profiler, DynamicCountsMatchExecution) {
   for (const auto &[Id, Count] : P.Graph.DynCount)
     MaxCount = std::max(MaxCount, Count);
   EXPECT_GE(MaxCount, 32u);
+}
+
+//===----------------------------------------------------------------------===//
+// Shadow-layout corner cases. Each program also runs under the per-byte
+// ReferenceDepProfiler, which must produce the same graph.
+//===----------------------------------------------------------------------===//
+
+void expectMatchesReference(const ProfiledProgram &P) {
+  ProfileResult Ref = referenceProfile(*P.M, P.TargetLoopId);
+  ASSERT_TRUE(Ref.Run.ok()) << Ref.Run.TrapMessage;
+  EXPECT_EQ(P.Graph.str(), Ref.Graph.str());
+  EXPECT_EQ(P.Graph.DynCount, Ref.Graph.DynCount);
+}
+
+/// Ids of the accesses inside a loop, stores or loads, whose l-value is the
+/// variable \p Var itself (or, with an empty \p Var, is NOT a plain
+/// variable: memory reached through a pointer or an index), ascending.
+std::vector<AccessId> loopAccesses(const ProfiledProgram &P, bool IsStore,
+                                   const std::string &Var = "") {
+  std::vector<AccessId> Ids;
+  for (const AccessDesc &D : P.Numbering.accesses()) {
+    if (D.IsStore != IsStore || D.LoopStack.empty())
+      continue;
+    auto *VR = dyn_cast<VarRefExpr>(D.location());
+    if (Var.empty() ? VR == nullptr
+                    : VR != nullptr && VR->getDecl()->getName() == Var)
+      Ids.push_back(D.Id);
+  }
+  return Ids;
+}
+
+bool hasFlowFrom(const LoopDepGraph &G, AccessId Src, AccessId Dst) {
+  return G.hasEdge(Src, Dst, DepKind::Flow, false) ||
+         G.hasEdge(Src, Dst, DepKind::Flow, true);
+}
+
+TEST(ProfilerShadow, SubWordStoreGivesTwoWriters) {
+  ProfiledProgram P = profileCandidate(R"(
+    int main() {
+      int x = 0;
+      int out = 0;
+      @candidate for (int i = 0; i < 4; i++) {
+        x = i + 256;
+        char* c = (char*)&x;
+        *c = 7;
+        out = out + x;
+      }
+      print_int(out);
+      return 0;
+    }
+  )");
+  std::vector<AccessId> IntStores = loopAccesses(P, true, "x");
+  std::vector<AccessId> CharStores = loopAccesses(P, true);
+  std::vector<AccessId> IntLoads = loopAccesses(P, false, "x");
+  ASSERT_EQ(IntStores.size(), 1u);
+  ASSERT_EQ(CharStores.size(), 1u);
+  ASSERT_EQ(IntLoads.size(), 1u);
+  // Byte 0 comes from the char store, bytes 1-3 from the int store.
+  EXPECT_TRUE(P.Graph.hasEdge(IntStores[0], IntLoads[0], DepKind::Flow, false))
+      << P.Graph.str();
+  EXPECT_TRUE(
+      P.Graph.hasEdge(CharStores[0], IntLoads[0], DepKind::Flow, false))
+      << P.Graph.str();
+  EXPECT_TRUE(
+      P.Graph.hasEdge(IntStores[0], CharStores[0], DepKind::Output, false));
+  expectMatchesReference(P);
+}
+
+TEST(ProfilerShadow, AccessStraddlingAPageBoundary) {
+  // Wherever the block lands, some int at buf + i straddles a 4 KiB
+  // boundary with two bytes on each side. Only there, a char store into
+  // the far side feeds an int load, and an int store feeds a char load
+  // of the far side: both edges exist only if a straddling access updates
+  // the bytes on both pages.
+  ProfiledProgram P = profileCandidate(R"(
+    int main() {
+      char* buf = malloc(8200);
+      int out = 0;
+      @candidate for (int i = 0; i < 8190; i++) {
+        int* p = (int*)(buf + i);
+        if ((long)p % 4096 == 4094) {
+          buf[i + 3] = 9;
+          out = out + *p;
+          *p = i;
+          out = out + buf[i + 2];
+        }
+      }
+      print_int(out);
+      free(buf);
+      return 0;
+    }
+  )");
+  std::vector<AccessId> Stores = loopAccesses(P, true);
+  std::vector<AccessId> Loads = loopAccesses(P, false);
+  ASSERT_EQ(Stores.size(), 2u); // buf[i + 3] = 9; *p = i;
+  ASSERT_EQ(Loads.size(), 2u);  // *p; buf[i + 2]
+  AccessId CharStore = Stores[0], IntStore = Stores[1];
+  AccessId IntLoad = Loads[0], CharLoad = Loads[1];
+  ASSERT_TRUE(P.Graph.DynCount.count(IntLoad)) << "no straddling offset ran";
+  EXPECT_TRUE(P.Graph.hasEdge(CharStore, IntLoad, DepKind::Flow, false))
+      << P.Graph.str();
+  EXPECT_TRUE(P.Graph.hasEdge(IntStore, CharLoad, DepKind::Flow, false))
+      << P.Graph.str();
+  EXPECT_TRUE(P.Graph.hasEdge(CharStore, IntStore, DepKind::Output, false))
+      << P.Graph.str();
+  expectMatchesReference(P);
+}
+
+TEST(ProfilerShadow, FreeAndMallocAgainInsideAnIteration) {
+  ProfiledProgram P = profileCandidate(R"(
+    int main() {
+      int acc = 0;
+      @candidate for (int i = 0; i < 6; i++) {
+        int* p = malloc(16);
+        p[0] = i;
+        acc = acc + p[0];
+        free(p);
+        int* q = malloc(16);
+        acc = acc + q[0];
+        free(q);
+      }
+      print_int(acc);
+      return 0;
+    }
+  )");
+  std::vector<AccessId> Stores = loopAccesses(P, true);
+  std::vector<AccessId> Loads = loopAccesses(P, false);
+  ASSERT_EQ(Stores.size(), 1u);
+  ASSERT_EQ(Loads.size(), 2u);
+  // q[0] reads fresh memory, even where the allocator hands p's block back.
+  EXPECT_FALSE(hasFlowFrom(P.Graph, Stores[0], Loads[1])) << P.Graph.str();
+  EXPECT_TRUE(P.Graph.UpwardsExposedLoads.count(Loads[1])) << P.Graph.str();
+  EXPECT_TRUE(P.Graph.hasEdge(Stores[0], Loads[0], DepKind::Flow, false));
+  expectMatchesReference(P);
+}
+
+TEST(ProfilerShadow, WriteOfAnEarlierInvocationIsUpwardsExposed) {
+  ProfiledProgram P = profileCandidate(R"(
+    int buf[8];
+    int main() {
+      int out = 0;
+      for (int r = 0; r < 2; r++) {
+        @candidate for (int i = 0; i < 8; i++) {
+          if (r == 1) { out = out + buf[i]; }
+          if (r == 0) { buf[i] = i + 1; }
+        }
+      }
+      print_int(out);
+      return 0;
+    }
+  )");
+  EXPECT_EQ(P.Graph.Invocations, 2u);
+  EXPECT_EQ(P.Graph.Iterations, 16u);
+  std::vector<AccessId> Stores = loopAccesses(P, true);
+  std::vector<AccessId> Loads = loopAccesses(P, false);
+  ASSERT_EQ(Stores.size(), 1u);
+  ASSERT_EQ(Loads.size(), 1u);
+  // Invocation 2 reads what invocation 1 wrote: upwards-exposed, not flow.
+  EXPECT_FALSE(hasFlowFrom(P.Graph, Stores[0], Loads[0])) << P.Graph.str();
+  EXPECT_TRUE(P.Graph.UpwardsExposedLoads.count(Loads[0])) << P.Graph.str();
+  expectMatchesReference(P);
+}
+
+TEST(ProfilerShadow, RecursiveReentryStaysInTheOuterIteration) {
+  ProfiledProgram P = profileCandidate(R"(
+    int walk(int d) {
+      int s = 0;
+      @candidate for (int i = 0; i < 3; i++) {
+        s = s + i;
+        if (d > 0) { s = s + walk(d - 1); }
+      }
+      return s;
+    }
+    int main() {
+      print_int(walk(2));
+      return 0;
+    }
+  )");
+  // Nested entries of the target loop neither start an invocation nor
+  // count iterations: their accesses belong to the outer iteration.
+  EXPECT_EQ(P.Graph.Invocations, 1u);
+  EXPECT_EQ(P.Graph.Iterations, 3u);
+  std::vector<AccessId> SStores = loopAccesses(P, true, "s");
+  std::vector<AccessId> SLoads = loopAccesses(P, false, "s");
+  ASSERT_EQ(SStores.size(), 2u); // s = s + i; s = s + walk(d - 1);
+  ASSERT_FALSE(SLoads.empty());
+  AccessId AddI = SStores[0], AddWalk = SStores[1], Read = SLoads[0];
+  // The outermost frame carries s from one iteration's last store to the
+  // next iteration's read.
+  EXPECT_TRUE(P.Graph.hasEdge(AddWalk, Read, DepKind::Flow, true))
+      << P.Graph.str();
+  // The nested frames' iterations all run inside one outer iteration, so
+  // their own s = s + i chain is loop-independent.
+  EXPECT_TRUE(P.Graph.hasEdge(AddI, Read, DepKind::Flow, false))
+      << P.Graph.str();
+  EXPECT_FALSE(P.Graph.hasEdge(AddI, Read, DepKind::Flow, true))
+      << P.Graph.str();
+  expectMatchesReference(P);
+}
+
+TEST(ProfilerShadow, BulkWritesDefineBytesWithoutVertices) {
+  ProfiledProgram P = profileCandidate(R"(
+    int main() {
+      int a[8];
+      int b[8];
+      for (int i = 0; i < 8; i++) { a[i] = i; b[i] = i; }
+      memset(b, 0, 8 * sizeof(int));
+      int out = 0;
+      @candidate for (int i = 0; i < 4; i++) {
+        out = out + b[i];
+        memcpy(b, a, 8 * sizeof(int));
+        out = out + b[i + 4];
+      }
+      print_int(out);
+      print_int(b[0]);
+      return 0;
+    }
+  )");
+  EXPECT_TRUE(P.Graph.HasUnmodeled);
+  std::vector<AccessId> Loads = loopAccesses(P, false);
+  ASSERT_EQ(Loads.size(), 2u);
+  // b[i] first reads memset's bytes, written before the loop; b[i + 4]
+  // always reads what this iteration's memcpy wrote.
+  EXPECT_TRUE(P.Graph.UpwardsExposedLoads.count(Loads[0])) << P.Graph.str();
+  EXPECT_FALSE(P.Graph.UpwardsExposedLoads.count(Loads[1])) << P.Graph.str();
+  // A bulk write has no access id, so it is the endpoint of no edge and is
+  // never downwards-exposed: print_int(b[0]) marks nothing, and only the
+  // stores of out remain downwards-exposed.
+  for (const DepEdge &E : P.Graph.Edges) {
+    EXPECT_NE(E.Src, InvalidAccessId);
+    EXPECT_NE(E.Dst, InvalidAccessId);
+  }
+  std::vector<AccessId> OutStores = loopAccesses(P, true, "out");
+  for (AccessId Id : P.Graph.DownwardsExposedStores)
+    EXPECT_NE(std::find(OutStores.begin(), OutStores.end(), Id),
+              OutStores.end())
+        << P.Graph.str();
+  expectMatchesReference(P);
+}
+
+TEST(ProfilerShadow, FifthDistinctReaderIsDropped) {
+  ProfiledProgram P = profileCandidate(R"(
+    int main() {
+      int x = 5;
+      int s = 0;
+      @candidate for (int i = 0; i < 4; i++) {
+        int a1 = x;
+        int a2 = x;
+        int a3 = x;
+        int a4 = x;
+        int a5 = x;
+        s = s + a1 + a2 + a3 + a4 + a5;
+        x = i;
+      }
+      print_int(s);
+      return 0;
+    }
+  )");
+  std::vector<AccessId> Reads = loopAccesses(P, false, "x");
+  std::vector<AccessId> Writes = loopAccesses(P, true, "x");
+  ASSERT_EQ(Reads.size(), 5u);
+  ASSERT_EQ(Writes.size(), 1u);
+  AccessId S = Writes[0];
+  // A byte keeps four readers: the fifth read of each iteration is dropped,
+  // so its anti dependence on the following store is not seen.
+  for (unsigned I = 0; I != 4; ++I)
+    EXPECT_TRUE(P.Graph.hasEdge(Reads[I], S, DepKind::Anti, false))
+        << "reader " << I << "\n"
+        << P.Graph.str();
+  EXPECT_FALSE(P.Graph.hasEdge(Reads[4], S, DepKind::Anti, false))
+      << P.Graph.str();
+  // Flow is unaffected by the cap.
+  EXPECT_TRUE(P.Graph.hasEdge(S, Reads[4], DepKind::Flow, true));
+  // 4 bytes of x, one dropped read each, in every one of 4 iterations.
+  EXPECT_EQ(P.Stats.DroppedReads, 16u);
+  expectMatchesReference(P);
+}
+
+//===----------------------------------------------------------------------===//
+// Profiler counters reach the session's statistics.
+//===----------------------------------------------------------------------===//
+
+TEST(ProfilerCounters, ReportedThroughTheSession) {
+  const WorkloadInfo *W = findWorkload("dijkstra");
+  ASSERT_NE(W, nullptr);
+  std::unique_ptr<Module> M = parseMiniCOrDie(W->Source, W->Name);
+  CompilationSession S(*M);
+  unsigned Loop = S.candidateLoops().front();
+  ASSERT_NE(S.analyses().depGraph(Loop, GraphSource::Profile), nullptr);
+  const TimingRegistry &TR = S.timing();
+  EXPECT_GT(TR.counter("profile.accesses"), 0u);
+  EXPECT_GE(TR.counter("profile.bytes"), TR.counter("profile.accesses"));
+  // dijkstra reads some bytes with more than four distinct accesses per
+  // write, which the reader cap drops.
+  EXPECT_GT(TR.counter("profile.dropped_reads"), 0u);
+  EXPECT_NE(S.statsReport().find("profile.dropped_reads"), std::string::npos);
+}
+
+TEST(ProfilerCounters, SmallFixtureDropsNothing) {
+  ProfiledProgram P = profileCandidate(R"(
+    int main() {
+      int buf[4];
+      int acc = 0;
+      @candidate for (int i = 0; i < 4; i++) {
+        buf[i] = i;
+        acc = acc + buf[i];
+      }
+      print_int(acc);
+      return 0;
+    }
+  )");
+  EXPECT_GT(P.Stats.Accesses, 0u);
+  EXPECT_GT(P.Stats.Bytes, 0u);
+  EXPECT_GT(P.Stats.ShadowPages, 0u);
+  EXPECT_EQ(P.Stats.DroppedReads, 0u);
 }
 
 } // namespace

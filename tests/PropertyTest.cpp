@@ -15,6 +15,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ReferenceDepProfiler.h"
+
 #include "analysis/StaticPrivatizer.h"
 #include "driver/CompilationSession.h"
 #include "frontend/Parser.h"
@@ -552,6 +554,33 @@ TEST_P(ReductionProperty, MergeOrderDeterministic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReductionProperty,
+                         ::testing::Range<uint64_t>(1, 41));
+
+//===----------------------------------------------------------------------===//
+// Dependence profiler against the per-byte reference
+//===----------------------------------------------------------------------===//
+
+class ProfilerOracleProperty : public ::testing::TestWithParam<uint64_t> {};
+
+// The candidate loop of a random program (and of a random reduction) must
+// get the same graph from DepProfiler as from ReferenceDepProfiler.
+TEST_P(ProfilerOracleProperty, MatchesReferenceProfiler) {
+  for (const GeneratedProgram &G :
+       {generate(GetParam()), generateReduction(GetParam())}) {
+    SCOPED_TRACE("--- generated program ---\n" + G.Source);
+    ParseResult PR = parseMiniC(G.Source);
+    ASSERT_TRUE(PR.ok()) << (PR.Errors.empty() ? "?" : PR.Errors.front());
+    unsigned Loop = CompilationSession(*PR.M).candidateLoops().front();
+    ProfileResult Fast = profileLoop(*PR.M, Loop);
+    ProfileResult Ref = referenceProfile(*PR.M, Loop);
+    ASSERT_TRUE(Fast.Run.ok()) << Fast.Run.TrapMessage;
+    ASSERT_TRUE(Ref.Run.ok()) << Ref.Run.TrapMessage;
+    EXPECT_EQ(Fast.Graph.str(), Ref.Graph.str());
+    EXPECT_EQ(Fast.Graph.DynCount, Ref.Graph.DynCount);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ProfilerOracleProperty,
                          ::testing::Range<uint64_t>(1, 41));
 
 //===----------------------------------------------------------------------===//
