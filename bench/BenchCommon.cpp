@@ -14,10 +14,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
-#include <sys/stat.h>
 
 using namespace gdse;
 using namespace gdse::bench;
@@ -36,10 +33,9 @@ const char *engineName(ExecEngine E) {
   return "?";
 }
 
-/// Everything the --json writer needs, accumulated across the process.
+/// One figure's JSON capture, from beginJsonCapture to endJsonCapture.
 struct JsonSink {
   bool Enabled = false;
-  std::string OutFile;
   std::string BenchId;
   std::chrono::steady_clock::time_point Start;
   struct GuardLoopRec {
@@ -70,15 +66,28 @@ JsonSink &jsonSink() {
   return S;
 }
 
-void writeJson() {
+} // namespace
+
+void gdse::bench::addJsonRecord(const std::string &JsonObject) {
   JsonSink &S = jsonSink();
-  if (!S.Enabled)
-    return;
-  FILE *F = std::fopen(S.OutFile.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "bench: cannot write %s\n", S.OutFile.c_str());
-    return;
-  }
+  if (S.Enabled)
+    S.Extra.push_back(JsonObject);
+}
+
+void gdse::bench::beginJsonCapture(const std::string &BenchId) {
+  JsonSink &S = jsonSink();
+  S = JsonSink();
+  S.Enabled = true;
+  S.BenchId = BenchId;
+  S.Start = std::chrono::steady_clock::now();
+}
+
+bool gdse::bench::endJsonCapture(const std::string &Path) {
+  JsonSink &S = jsonSink();
+  S.Enabled = false;
+  FILE *F = std::fopen(Path.c_str(), "w");
+  if (!F)
+    return false;
   uint64_t WallNs = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - S.Start)
                         .count();
@@ -128,51 +137,7 @@ void writeJson() {
     std::fprintf(F, "\n  ]");
   }
   std::fprintf(F, "\n}\n");
-  std::fclose(F);
-}
-
-} // namespace
-
-void gdse::bench::addJsonRecord(const std::string &JsonObject) {
-  JsonSink &S = jsonSink();
-  if (S.Enabled)
-    S.Extra.push_back(JsonObject);
-}
-
-void gdse::bench::initBenchIO(int &argc, char **argv) {
-  JsonSink &S = jsonSink();
-  S.Start = std::chrono::steady_clock::now();
-  // Bench id = program basename (the target name, e.g. "fig11_speedup").
-  S.BenchId = argv[0];
-  if (size_t Slash = S.BenchId.rfind('/'); Slash != std::string::npos)
-    S.BenchId = S.BenchId.substr(Slash + 1);
-
-  std::string Path;
-  int Out = 1;
-  for (int In = 1; In < argc; ++In) {
-    if (std::strcmp(argv[In], "--json") == 0 && In + 1 < argc) {
-      Path = argv[++In];
-      S.Enabled = true;
-    } else if (std::strncmp(argv[In], "--json=", 7) == 0) {
-      Path = argv[In] + 7;
-      S.Enabled = true;
-    } else {
-      argv[Out++] = argv[In];
-    }
-  }
-  argc = Out;
-  if (!S.Enabled)
-    return;
-
-  if (Path.size() >= 5 && Path.compare(Path.size() - 5, 5, ".json") == 0) {
-    S.OutFile = Path;
-  } else {
-    if (!Path.empty())
-      ::mkdir(Path.c_str(), 0755); // best effort; may already exist
-    S.OutFile = (Path.empty() ? std::string(".") : Path) + "/BENCH_" +
-                S.BenchId + ".json";
-  }
-  std::atexit(writeJson);
+  return std::fclose(F) == 0;
 }
 
 PreparedProgram gdse::bench::prepareOriginal(const WorkloadInfo &W) {
@@ -271,30 +236,41 @@ std::vector<PreparedProgram> gdse::bench::prepareTransformedBatch(
 
 PreparedProgram &gdse::bench::preparedForAll(const WorkloadInfo &W,
                                              const PipelineOptions &Opts) {
-  // Key on every field that changes compilation output. ExternalGraph is a
-  // pointer identity: two different graphs must never share an entry.
+  const std::vector<WorkloadInfo> *Set = nullptr;
+  size_t Index = 0;
+  for (const std::vector<WorkloadInfo> *Each :
+       {&allWorkloads(), &reductionWorkloads()})
+    for (size_t I = 0; I != Each->size(); ++I)
+      if ((*Each)[I].Name == std::string(W.Name)) {
+        Set = Each;
+        Index = I;
+      }
+  if (!Set) {
+    static PreparedProgram Missing;
+    Missing.Error = "workload not in a standard set";
+    return Missing;
+  }
+  // Key on the set and on every PipelineOptions and ExpansionOptions field:
+  // two option sets that differ anywhere must never share a compiled
+  // program. ExternalGraph is a pointer identity for the same reason.
+  const ExpansionOptions &E = Opts.Expansion;
   std::string Key = formatString(
-      "%d|%s|%d|%p|%d%d%d%d%d", static_cast<int>(Opts.Method),
-      Opts.Entry.c_str(), static_cast<int>(Opts.Source),
-      static_cast<const void *>(Opts.ExternalGraph),
-      static_cast<int>(Opts.Expansion.Layout), Opts.Expansion.SelectivePromotion,
-      Opts.Expansion.SpanConstantPropagation,
-      Opts.Expansion.DeadSpanStoreElimination, Opts.Expansion.GuardPruning);
+      "%p|%d|%s|%d|%p|%d|%d%d%d%d%d%d", static_cast<const void *>(Set),
+      static_cast<int>(Opts.Method), Opts.Entry.c_str(),
+      static_cast<int>(Opts.Source),
+      static_cast<const void *>(Opts.ExternalGraph), Opts.AuditDeps,
+      static_cast<int>(E.Layout), E.SelectivePromotion,
+      E.SpanConstantPropagation, E.DeadSpanStoreElimination, E.GuardPruning,
+      E.CommutativePrivatization);
   static std::map<std::string, std::vector<PreparedProgram>> Cache;
   auto It = Cache.find(Key);
   if (It == Cache.end()) {
     std::vector<const WorkloadInfo *> Ws;
-    for (const WorkloadInfo &Each : allWorkloads())
+    for (const WorkloadInfo &Each : *Set)
       Ws.push_back(&Each);
     It = Cache.emplace(Key, prepareTransformedBatch(Ws, Opts)).first;
   }
-  for (PreparedProgram &P : It->second)
-    if (P.Info && P.Info->Name == std::string(W.Name))
-      return P;
-  // Unreachable for the standard set; keep a stable failure object anyway.
-  static PreparedProgram Missing;
-  Missing.Error = "workload not in the standard set";
-  return Missing;
+  return It->second[Index]; // batch results come back in workload order
 }
 
 void gdse::bench::reportCompileTiming(const PreparedProgram &P, bool Force) {

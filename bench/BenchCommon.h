@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by every table/figure reproduction binary: build the
+/// Helpers behind every table/figure reproduction in gdse_figures: build the
 /// original and transformed programs for a workload, execute them under the
-/// VM, and collect the simulated metrics the paper reports. All metrics are
-/// deterministic (cycle counts from the cost model), so runs are exactly
-/// reproducible; google-benchmark provides the runner/reporting skeleton and
-/// each binary additionally prints the paper-style table.
+/// VM, and collect the simulated metrics the paper reports. All simulated
+/// metrics are deterministic (cycle counts from the cost model), so runs are
+/// exactly reproducible. Each figure prints its paper-style table and can
+/// capture every run's metrics as a BENCH_<figure>.json file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,35 +74,35 @@ std::vector<PreparedProgram>
 prepareTransformedBatch(const std::vector<const WorkloadInfo *> &Ws,
                         const PipelineOptions &Opts, unsigned Jobs = 0);
 
-/// Options-keyed cache over prepareTransformedBatch for the standard
-/// workload set: the first call batch-compiles every workload concurrently;
-/// later calls with the same options (any workload) are cache hits. Not
-/// thread-safe — benchmark mains are single-threaded. The returned
-/// reference stays valid for the process lifetime.
+/// Options-keyed cache over prepareTransformedBatch for the workload set
+/// that holds \p W (allWorkloads() or reductionWorkloads()): the first call
+/// batch-compiles every workload of that set concurrently; later calls with
+/// the same options and set are cache hits. Not thread-safe — the figures
+/// driver is single-threaded. The returned reference stays valid for the
+/// process lifetime.
 PreparedProgram &preparedForAll(const WorkloadInfo &W,
                                 const PipelineOptions &Opts);
 
 /// Prints \p P's compile-time report (per-pass timing + counters) to stderr
 /// when the GDSE_TIME_PASSES environment variable is set and non-empty, or
 /// when \p Force is true. prepareTransformed calls this itself, so every
-/// fig*/table* binary emits compile-time breakdowns with one env var and no
-/// per-binary wiring.
+/// figure emits compile-time breakdowns with one env var and no per-figure
+/// wiring.
 void reportCompileTiming(const PreparedProgram &P, bool Force = false);
 
-/// Consumes the harness-level flags google-benchmark does not understand —
-/// currently `--json <path>` / `--json=<path>` — out of argc/argv and, when
-/// --json was given, registers an exit-time writer that dumps every
-/// execute() call's metrics (engine, threads, work cycles, simulated time,
-/// host wall time, peak bytes) plus the process wall time as
-/// `BENCH_<name>.json`. \p Path naming a directory (or anything not ending
-/// in ".json") is treated as the output directory; otherwise it is the
-/// exact output file. Call before benchmark::Initialize, which rejects
-/// unknown flags.
-void initBenchIO(int &argc, char **argv);
+/// Starts capturing, for the figure whose JSON id is \p BenchId (e.g.
+/// "fig11_speedup"), every execute() call's metrics (engine, threads, work
+/// cycles, simulated time, host wall time, peak bytes) and every
+/// addJsonRecord() record. Without a capture those calls record nothing.
+void beginJsonCapture(const std::string &BenchId);
+
+/// Writes the current capture, with the wall time since beginJsonCapture,
+/// to \p Path and ends it. Returns false when the file cannot be written.
+bool endJsonCapture(const std::string &Path);
 
 /// Appends one bench-specific record — a complete JSON object literal — to
 /// the --json output's "records" array (fig7's per-loop graph precision
-/// counts, guard_overhead's elision tallies, ...). No-op without --json.
+/// counts, guard_overhead's elision tallies, ...). No-op without a capture.
 void addJsonRecord(const std::string &JsonObject);
 
 /// Executes a prepared program. \p Threads is the simulated core count;
@@ -114,9 +114,9 @@ void addJsonRecord(const std::string &JsonObject);
 RunResult execute(PreparedProgram &P, int Threads,
                   bool SimulateParallel = true);
 
-/// execute() under an explicit guard mode (bench_guard_overhead runs the
-/// same program under off and check back to back). Per-loop guard counters
-/// land in the --json record either way.
+/// execute() under an explicit guard mode (the guard figure runs the same
+/// program under off and check back to back). Per-loop guard counters land
+/// in the JSON capture either way.
 RunResult executeGuarded(PreparedProgram &P, int Threads, GuardMode Guard,
                          bool SimulateParallel = true);
 
@@ -130,7 +130,7 @@ RunResult executeOnEngine(PreparedProgram &P, ExecEngine Engine, int Threads,
                           bool SimulateParallel = true);
 
 /// executeOnEngine() with an explicit resilience policy (budgets, watchdog,
-/// fault injection) — resilience_overhead arms unbreachable budgets and
+/// fault injection) — the resilience figure arms unbreachable budgets and
 /// measures the polling cost against the default-off run.
 RunResult executeResilient(PreparedProgram &P, ExecEngine Engine, int Threads,
                            const ResilienceOptions &Resilience,

@@ -16,7 +16,7 @@
 /// This is deliberately the paper's §4.1 foil: "current compile-time data
 /// dependence analysis algorithms are still too conservative and they
 /// report false positives that prevent loop parallelization". The
-/// fig7_static_vs_profiled bench shows what happens when the expansion
+/// `gdse_figures fig7` figure shows what happens when the expansion
 /// pipeline is fed this graph instead of the profiled one.
 ///
 //===----------------------------------------------------------------------===//

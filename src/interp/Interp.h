@@ -138,7 +138,7 @@ struct InterpOptions {
   /// Execution resilience: budgets (deadline / cycle cap / byte budget), the
   /// DOACROSS watchdog with its in-loop recovery, and fault injection. The
   /// default (all zero, no injector) adds no observable behavior and near-zero
-  /// overhead (see bench/resilience_overhead).
+  /// overhead (see `gdse_figures resilience`).
   ResilienceOptions Resilience;
 };
 
