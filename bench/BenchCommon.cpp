@@ -166,7 +166,12 @@ PreparedProgram gdse::bench::prepareTransformed(const WorkloadInfo &W,
     PipelineResult PR = Session.compileLoop(LoopId, Opts);
     if (!PR.Ok) {
       P.Ok = false;
-      P.Error = PR.Errors.empty() ? "transformation failed" : PR.Errors.front();
+      P.Error = "transformation failed";
+      for (const Diagnostic &D : PR.Diags)
+        if (D.isError()) {
+          P.Error = D.Message;
+          break;
+        }
       return P;
     }
     P.Pipelines.push_back(std::move(PR));
@@ -329,9 +334,10 @@ RunResult gdse::bench::executeResilient(PreparedProgram &P, ExecEngine Engine,
   JsonSink &S = jsonSink();
   if (S.Enabled) {
     JsonSink::Rec Rec{P.Info ? P.Info->Name : "?", engineName(IO.Engine),
-                      Threads, SimulateParallel,   R.Trapped,  R.WorkCycles,
-                      R.SimTime, R.HostNanos,      R.PeakMemoryBytes,
-                      guardModeName(Guard),        {}};
+                      Threads, SimulateParallel, R.Trapped, R.WorkCycles,
+                      R.SimTime, R.HostNanos, R.PeakMemoryBytes,
+                      guardModeName(Guard), /*Degradations=*/0,
+                      /*WatchdogFires=*/0, /*GuardLoops=*/{}};
     for (const auto &[LoopId, L] : R.Loops) {
       Rec.Degradations += L.Degradations;
       Rec.WatchdogFires += L.WatchdogFires;

@@ -13,8 +13,6 @@
 #include "profile/DepProfiler.h"
 #include "support/Support.h"
 
-#include <mutex>
-
 using namespace gdse;
 
 const char *gdse::graphSourceName(GraphSource S) {
@@ -44,12 +42,10 @@ void AnalysisManager::setEntry(std::string NewEntry) {
   // Profiled graphs describe one entry point's execution; a different entry
   // is a different program as far as the profiler is concerned. Negative
   // entries go too — the old entry's trap may not exist under the new one.
-  std::shared_lock<std::shared_mutex> MapLock(ShardsMu);
-  for (auto &[Id, Shard] : Shards) {
+  for (auto &[Id, L] : Loops) {
     (void)Id;
-    std::unique_lock<std::shared_mutex> Lock(Shard->Mu);
-    Shard->Graphs.erase(GraphSource::Profile);
-    Shard->Classes.erase(GraphSource::Profile);
+    L.Graphs.erase(GraphSource::Profile);
+    L.Classes.erase(GraphSource::Profile);
   }
 }
 
@@ -57,39 +53,23 @@ void AnalysisManager::setExternalGraph(const LoopDepGraph *G) {
   if (G == External)
     return;
   External = G;
-  std::shared_lock<std::shared_mutex> MapLock(ShardsMu);
-  for (auto &[Id, Shard] : Shards) {
+  for (auto &[Id, L] : Loops) {
     (void)Id;
-    std::unique_lock<std::shared_mutex> Lock(Shard->Mu);
-    Shard->Graphs.erase(GraphSource::External);
-    Shard->Classes.erase(GraphSource::External);
+    L.Graphs.erase(GraphSource::External);
+    L.Classes.erase(GraphSource::External);
   }
 }
 
 void AnalysisManager::hit() {
-  Stats.CacheHits.fetch_add(1, std::memory_order_relaxed);
+  ++Stats.CacheHits;
   if (TR)
     TR->bumpCounter("analysis.cache.hits");
 }
 
 void AnalysisManager::miss() {
-  Stats.CacheMisses.fetch_add(1, std::memory_order_relaxed);
+  ++Stats.CacheMisses;
   if (TR)
     TR->bumpCounter("analysis.cache.misses");
-}
-
-AnalysisManager::LoopShard &AnalysisManager::shardFor(unsigned LoopId) {
-  {
-    std::shared_lock<std::shared_mutex> Lock(ShardsMu);
-    auto It = Shards.find(LoopId);
-    if (It != Shards.end())
-      return *It->second;
-  }
-  std::unique_lock<std::shared_mutex> Lock(ShardsMu);
-  auto &Slot = Shards[LoopId];
-  if (!Slot)
-    Slot = std::make_unique<LoopShard>();
-  return *Slot;
 }
 
 const LoopDepGraph *AnalysisManager::served(const CachedGraph &Entry) {
@@ -102,67 +82,40 @@ const LoopDepGraph *AnalysisManager::served(const CachedGraph &Entry) {
 }
 
 const AccessNumbering &AnalysisManager::numbering() {
-  {
-    std::shared_lock<std::shared_mutex> Lock(ModuleMu);
-    if (Num) {
-      hit();
-      return *Num;
-    }
-  }
-  std::unique_lock<std::shared_mutex> Lock(ModuleMu);
   if (Num) {
     hit();
     return *Num;
   }
   miss();
-  Stats.NumberingRuns.fetch_add(1, std::memory_order_relaxed);
+  ++Stats.NumberingRuns;
   TimerScope T(TR, "analysis.numbering");
-  // Numbering WRITES access ids into the IR; the exclusive ModuleMu hold
-  // means at most one thread runs it, and the batch driver guarantees no
-  // other thread reads this module's IR before its first numbering (every
-  // query path enters through here).
+  // Numbering WRITES access ids into the IR; every query path enters
+  // through here, so no analysis reads the IR before its first numbering.
   Num = AccessNumbering::compute(M);
   return *Num;
 }
 
 const PointsTo &AnalysisManager::pointsTo() {
-  {
-    std::shared_lock<std::shared_mutex> Lock(ModuleMu);
-    if (PT) {
-      hit();
-      return *PT;
-    }
-  }
-  std::unique_lock<std::shared_mutex> Lock(ModuleMu);
   if (PT) {
     hit();
     return *PT;
   }
   miss();
-  Stats.PointsToRuns.fetch_add(1, std::memory_order_relaxed);
+  ++Stats.PointsToRuns;
   TimerScope T(TR, "analysis.points-to");
   PT = PointsTo::compute(M);
   return *PT;
 }
 
 std::shared_ptr<const BytecodeModule> AnalysisManager::bytecode() {
-  // The lowering bakes access and loop ids into the instructions; number
-  // first, outside ModuleMu (numbering locks it itself).
+  // The lowering bakes access and loop ids into the instructions.
   numbering();
-  {
-    std::shared_lock<std::shared_mutex> Lock(ModuleMu);
-    if (BC) {
-      hit();
-      return BC;
-    }
-  }
-  std::unique_lock<std::shared_mutex> Lock(ModuleMu);
   if (BC) {
     hit();
     return BC;
   }
   miss();
-  Stats.BytecodeLowerings.fetch_add(1, std::memory_order_relaxed);
+  ++Stats.BytecodeLowerings;
   TimerScope T(TR, "analysis.bytecode");
   BC = lowerToBytecode(M, CostModel::defaults());
   return BC;
@@ -170,37 +123,22 @@ std::shared_ptr<const BytecodeModule> AnalysisManager::bytecode() {
 
 const LoopDepGraph *AnalysisManager::depGraph(unsigned LoopId,
                                               GraphSource Source) {
-  LoopShard &Shard = shardFor(LoopId);
-  {
-    std::shared_lock<std::shared_mutex> Lock(Shard.Mu);
-    auto It = Shard.Graphs.find(Source);
-    if (It != Shard.Graphs.end())
-      return served(It->second);
-  }
+  LoopCache &L = Loops[LoopId];
+  auto It = L.Graphs.find(Source);
+  if (It != L.Graphs.end())
+    return served(It->second);
 
   // Number the module first so every source sees consistent ids (and so the
-  // expensive sub-analyses below are attributed to their own timers). Done
-  // before taking the shard lock: ModuleMu nests INSIDE shard locks only on
-  // the short points-to read below, never the other way around.
+  // expensive sub-analyses below are attributed to their own timers).
   const AccessNumbering &Numbering = numbering();
-
-  std::unique_lock<std::shared_mutex> Lock(Shard.Mu);
-  // Double-checked: another worker may have filled this entry while we were
-  // numbering. The loser of the race records a hit, exactly like a serial
-  // second query.
-  auto It = Shard.Graphs.find(Source);
-  if (It != Shard.Graphs.end())
-    return served(It->second);
   miss();
-
-  CachedGraph Entry;
   DiagnosticScope Scope(DE, graphSourceName(Source), LoopId);
+  CachedGraph Entry;
   switch (Source) {
   case GraphSource::Profile: {
-    Stats.ProfileRuns.fetch_add(1, std::memory_order_relaxed);
+    ++Stats.ProfileRuns;
     // The profiling run executes on the session's shared bytecode (lowered
-    // once per IR version). bytecode() takes ModuleMu inside this shard
-    // lock, the one permitted nesting order.
+    // once per IR version).
     std::shared_ptr<const BytecodeModule> Precompiled = bytecode();
     TimerScope T(TR, "analysis.profile");
     ProfileResult Prof = profileLoop(M, LoopId, this->Entry, Precompiled);
@@ -220,19 +158,12 @@ const LoopDepGraph *AnalysisManager::depGraph(unsigned LoopId,
     }
     break;
   }
-  case GraphSource::Static: {
-    Stats.StaticGraphRuns.fetch_add(1, std::memory_order_relaxed);
-    const PointsTo &P = pointsTo();
-    TimerScope T(TR, "analysis.static-deps");
-    Entry.G = buildStaticDepGraph(M, LoopId, P, Numbering);
-    break;
-  }
+  case GraphSource::Static:
+    return &staticGraph(L, LoopId, Numbering);
   case GraphSource::Witness: {
-    // Refine the conservative static graph with the witness's proofs. Both
-    // ingredients live in THIS shard and are computed inline under the lock
-    // we already hold — calling depGraph() here would self-deadlock.
-    const LoopDepGraph &SG = staticGraphLocked(Shard, LoopId, Numbering);
-    const PrivatizationWitness &W = witnessLocked(Shard, LoopId, Numbering);
+    // Refine the conservative static graph with the witness's proofs.
+    const LoopDepGraph &SG = staticGraph(L, LoopId, Numbering);
+    const PrivatizationWitness &W = witness(L, LoopId, Numbering);
     TimerScope T(TR, "analysis.witness-refine");
     Entry.G = W.refineGraph(SG);
     break;
@@ -251,96 +182,70 @@ const LoopDepGraph *AnalysisManager::depGraph(unsigned LoopId,
     break;
   }
 
-  auto [Pos, Inserted] = Shard.Graphs.emplace(Source, std::move(Entry));
-  (void)Inserted;
-  return Pos->second.Failed ? nullptr : &Pos->second.G;
+  CachedGraph &Pos = L.Graphs[Source] = std::move(Entry);
+  return Pos.Failed ? nullptr : &Pos.G;
 }
 
 const LoopDepGraph &
-AnalysisManager::staticGraphLocked(LoopShard &Shard, unsigned LoopId,
-                                   const AccessNumbering &Numbering) {
-  auto It = Shard.Graphs.find(GraphSource::Static);
-  if (It != Shard.Graphs.end())
-    return It->second.G; // static graphs never negatively cache
-  Stats.StaticGraphRuns.fetch_add(1, std::memory_order_relaxed);
-  const PointsTo &P = pointsTo(); // ModuleMu inside the shard lock: allowed
-  TimerScope T(TR, "analysis.static-deps");
-  CachedGraph Entry;
-  Entry.G = buildStaticDepGraph(M, LoopId, P, Numbering);
-  auto [Pos, Inserted] =
-      Shard.Graphs.emplace(GraphSource::Static, std::move(Entry));
-  (void)Inserted;
-  return Pos->second.G;
+AnalysisManager::staticGraph(LoopCache &L, unsigned LoopId,
+                             const AccessNumbering &Numbering) {
+  auto [It, Inserted] = L.Graphs.try_emplace(GraphSource::Static);
+  if (Inserted) { // static graphs never negatively cache
+    ++Stats.StaticGraphRuns;
+    const PointsTo &P = pointsTo();
+    TimerScope T(TR, "analysis.static-deps");
+    It->second.G = buildStaticDepGraph(M, LoopId, P, Numbering);
+  }
+  return It->second.G;
 }
 
 const PrivatizationWitness &
-AnalysisManager::witnessLocked(LoopShard &Shard, unsigned LoopId,
-                               const AccessNumbering &Numbering) {
-  if (Shard.Witness)
-    return *Shard.Witness;
-  const LoopDepGraph &SG = staticGraphLocked(Shard, LoopId, Numbering);
-  Stats.WitnessRuns.fetch_add(1, std::memory_order_relaxed);
-  const PointsTo &P = pointsTo();
-  TimerScope T(TR, "analysis.witness");
-  Shard.Witness = std::make_shared<const PrivatizationWitness>(
-      PrivatizationWitness::compute(M, LoopId, P, Numbering, SG));
-  return *Shard.Witness;
+AnalysisManager::witness(LoopCache &L, unsigned LoopId,
+                         const AccessNumbering &Numbering) {
+  if (!L.Witness) {
+    const LoopDepGraph &SG = staticGraph(L, LoopId, Numbering);
+    ++Stats.WitnessRuns;
+    const PointsTo &P = pointsTo();
+    TimerScope T(TR, "analysis.witness");
+    L.Witness = std::make_shared<const PrivatizationWitness>(
+        PrivatizationWitness::compute(M, LoopId, P, Numbering, SG));
+  }
+  return *L.Witness;
 }
 
 std::shared_ptr<const PrivatizationWitness>
 AnalysisManager::staticWitness(unsigned LoopId) {
-  LoopShard &Shard = shardFor(LoopId);
-  {
-    std::shared_lock<std::shared_mutex> Lock(Shard.Mu);
-    if (Shard.Witness) {
-      hit();
-      return Shard.Witness;
-    }
-  }
-  const AccessNumbering &Numbering = numbering(); // before the shard lock
-  std::unique_lock<std::shared_mutex> Lock(Shard.Mu);
-  if (Shard.Witness) {
+  LoopCache &L = Loops[LoopId];
+  if (L.Witness) {
     hit();
-    return Shard.Witness;
+    return L.Witness;
   }
+  const AccessNumbering &Numbering = numbering();
   miss();
   DiagnosticScope Scope(DE, "witness", LoopId);
-  (void)witnessLocked(Shard, LoopId, Numbering);
-  return Shard.Witness;
+  witness(L, LoopId, Numbering);
+  return L.Witness;
 }
 
 const AccessClasses *AnalysisManager::accessClasses(unsigned LoopId,
                                                     GraphSource Source) {
-  LoopShard &Shard = shardFor(LoopId);
-  {
-    std::shared_lock<std::shared_mutex> Lock(Shard.Mu);
-    auto It = Shard.Classes.find(Source);
-    if (It != Shard.Classes.end()) {
-      hit();
-      return &It->second;
-    }
-  }
-  // Acquire the graph without holding the shard lock — depGraph takes it.
-  const LoopDepGraph *G = depGraph(LoopId, Source);
-  if (!G)
-    return nullptr;
-  std::unique_lock<std::shared_mutex> Lock(Shard.Mu);
-  auto It = Shard.Classes.find(Source);
-  if (It != Shard.Classes.end()) {
+  LoopCache &L = Loops[LoopId];
+  auto It = L.Classes.find(Source);
+  if (It != L.Classes.end()) {
     hit();
     return &It->second;
   }
+  const LoopDepGraph *G = depGraph(LoopId, Source);
+  if (!G)
+    return nullptr;
   miss();
-  Stats.ClassifyRuns.fetch_add(1, std::memory_order_relaxed);
+  ++Stats.ClassifyRuns;
   TimerScope T(TR, "analysis.access-classes");
-  auto [Pos, Inserted] = Shard.Classes.emplace(Source, AccessClasses::build(*G));
-  (void)Inserted;
-  return &Pos->second;
+  return &L.Classes.emplace(Source, AccessClasses::build(*G)).first->second;
 }
 
 void AnalysisManager::setGuardPlan(unsigned LoopId,
                                    std::shared_ptr<const GuardPlan> GP) {
-  std::unique_lock<std::shared_mutex> Lock(GuardMu);
   if (GP)
     GuardPlansById[LoopId] = std::move(GP);
   else
@@ -349,14 +254,12 @@ void AnalysisManager::setGuardPlan(unsigned LoopId,
 
 std::shared_ptr<const GuardPlan>
 AnalysisManager::guardPlan(unsigned LoopId) const {
-  std::shared_lock<std::shared_mutex> Lock(GuardMu);
   auto It = GuardPlansById.find(LoopId);
   return It != GuardPlansById.end() ? It->second : nullptr;
 }
 
 std::vector<std::shared_ptr<const GuardPlan>>
 AnalysisManager::guardPlans() const {
-  std::shared_lock<std::shared_mutex> Lock(GuardMu);
   std::vector<std::shared_ptr<const GuardPlan>> Out;
   Out.reserve(GuardPlansById.size());
   for (const auto &[Id, GP] : GuardPlansById) {
@@ -367,57 +270,19 @@ AnalysisManager::guardPlans() const {
 }
 
 void AnalysisManager::invalidateLoop(unsigned LoopId) {
-  // Invalidation only ever touches this loop's own shard — other loops'
-  // cached graphs survive, which is the whole point of AllExceptLoop.
-  // Clearing the maps drops negative entries along with positive ones.
-  {
-    std::shared_lock<std::shared_mutex> MapLock(ShardsMu);
-    auto It = Shards.find(LoopId);
-    if (It != Shards.end()) {
-      std::unique_lock<std::shared_mutex> Lock(It->second->Mu);
-      It->second->Graphs.clear();
-      It->second->Classes.clear();
-      It->second->Witness.reset();
-    }
-  }
+  // Only this loop's entries go — other loops' cached graphs survive, which
+  // is the whole point of AllExceptLoop. Erasing drops negative entries
+  // along with positive ones.
+  Loops.erase(LoopId);
   // The loop's body changed in place, and the module bytecode embeds it:
   // drop the lowering (numbering and points-to survive — per-loop rewrites
-  // preserve them, that is the invalidateLoop contract). Shard locks are
-  // released above; ModuleMu is never taken inside one here.
-  std::unique_lock<std::shared_mutex> Lock(ModuleMu);
+  // preserve them, that is the invalidateLoop contract).
   BC.reset();
 }
 
 void AnalysisManager::invalidateModule() {
-  // Shards first, then module-level results; ModuleMu is never held while
-  // a shard lock is taken (the nesting is shard -> module elsewhere).
-  {
-    std::shared_lock<std::shared_mutex> MapLock(ShardsMu);
-    for (auto &[Id, Shard] : Shards) {
-      (void)Id;
-      std::unique_lock<std::shared_mutex> Lock(Shard->Mu);
-      Shard->Graphs.clear();
-      Shard->Classes.clear();
-      Shard->Witness.reset();
-    }
-  }
-  std::unique_lock<std::shared_mutex> Lock(ModuleMu);
+  Loops.clear();
   Num.reset();
   PT.reset();
   BC.reset();
-}
-
-AnalysisStats AnalysisManager::stats() const {
-  AnalysisStats S;
-  S.CacheHits = Stats.CacheHits.load(std::memory_order_relaxed);
-  S.CacheMisses = Stats.CacheMisses.load(std::memory_order_relaxed);
-  S.ProfileRuns = Stats.ProfileRuns.load(std::memory_order_relaxed);
-  S.PointsToRuns = Stats.PointsToRuns.load(std::memory_order_relaxed);
-  S.NumberingRuns = Stats.NumberingRuns.load(std::memory_order_relaxed);
-  S.StaticGraphRuns = Stats.StaticGraphRuns.load(std::memory_order_relaxed);
-  S.WitnessRuns = Stats.WitnessRuns.load(std::memory_order_relaxed);
-  S.ClassifyRuns = Stats.ClassifyRuns.load(std::memory_order_relaxed);
-  S.BytecodeLowerings =
-      Stats.BytecodeLowerings.load(std::memory_order_relaxed);
-  return S;
 }

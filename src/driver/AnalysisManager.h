@@ -15,31 +15,22 @@
 ///
 /// Queries are lazy and cached; repeated queries return the cached result
 /// (counted in AnalysisStats, the basis of the batch-compilation guarantee
-/// that the profiler runs at most once per (loop, source)). Transform
-/// passes report what they preserved and the PassManager invalidates
+/// that the profiler runs at most once per (loop, source)). compileLoop's
+/// transform stages report what they preserved and the session invalidates
 /// accordingly: invalidateModule() drops everything (the IR changed),
 /// invalidateLoop() drops only one loop's graphs and classes.
 ///
 /// Failed graph acquisitions (a trapped profiling run, a missing or
 /// mismatched external graph) are reported through the DiagnosticEngine and
 /// negatively cached, so a batch session does not re-run a failing profile
-/// for every downstream query. Negative entries live in the same shard as
-/// positive ones and travel the same invalidation path: a transform pass
-/// that changes the IR drops cached FAILURES too, so a loop that becomes
-/// analyzable after expansion is re-profiled instead of replaying a stale
-/// error.
+/// for every downstream query. Negative entries live beside positive ones
+/// and travel the same invalidation path: a transform stage that changes the
+/// IR drops cached FAILURES too, so a loop that becomes analyzable after
+/// expansion is re-profiled instead of replaying a stale error.
 ///
-/// Thread-safety: QUERIES are safe from concurrent worker threads. The
-/// per-loop caches are sharded — each loop id owns a shard guarded by its
-/// own std::shared_mutex, so readers of already-cached graphs never
-/// serialize against each other and two workers computing graphs for
-/// different loops proceed in parallel. Module-level results (numbering,
-/// points-to) sit behind a separate shared_mutex, and the stats counters
-/// are atomics. INVALIDATION and the setters (setEntry, setExternalGraph)
-/// still belong to whichever thread owns the module's transform phase:
-/// transform passes mutate the IR itself, which no lock here can protect,
-/// so the driver serializes per-module pipelines and only runs concurrent
-/// queries between them (see CompilationSession::compileBatch).
+/// Thread-safety: none. A manager belongs to one CompilationSession, and a
+/// session is used by one thread at a time (compileBatch hands each
+/// session to exactly one worker and merges its output at the join).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,11 +45,9 @@
 #include "support/Diagnostics.h"
 #include "support/Timing.h"
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -80,8 +69,7 @@ enum class GraphSource : uint8_t {
 const char *graphSourceName(GraphSource S);
 
 /// Cache behaviour counters; also mirrored into the TimingRegistry's named
-/// counters when one is attached. Snapshot semantics: AnalysisManager keeps
-/// the live counts in atomics and materializes this plain struct on demand.
+/// counters when one is attached.
 struct AnalysisStats {
   uint64_t CacheHits = 0;
   uint64_t CacheMisses = 0;
@@ -118,7 +106,7 @@ public:
   void setExternalGraph(const LoopDepGraph *G);
 
   //===--------------------------------------------------------------------===//
-  // Queries (safe to call concurrently)
+  // Queries
   //===--------------------------------------------------------------------===//
 
   /// Module-wide access/loop numbering of the CURRENT IR.
@@ -171,18 +159,18 @@ public:
   std::vector<std::shared_ptr<const GuardPlan>> guardPlans() const;
 
   //===--------------------------------------------------------------------===//
-  // Invalidation (serial phase — must not race with queries on this module)
+  // Invalidation
   //===--------------------------------------------------------------------===//
 
   /// The IR of \p LoopId changed (e.g. planner wrapped its body in ordered
   /// regions): drop that loop's graphs and classes — cached failures
-  /// included — keep every other loop's shard.
+  /// included — keep every other loop's entries.
   void invalidateLoop(unsigned LoopId);
   /// The module-wide IR changed (expansion, rtpriv): drop everything,
   /// positive and negative entries alike.
   void invalidateModule();
 
-  AnalysisStats stats() const;
+  AnalysisStats stats() const { return Stats; }
   Module &module() { return M; }
   DiagnosticEngine &diags() { return DE; }
 
@@ -195,11 +183,8 @@ private:
     LoopDepGraph G;
   };
 
-  /// One loop's slice of the cache. Shards are created on first touch and
-  /// never destroyed before the manager, so the per-shard locks stay valid
-  /// across invalidation (which only clears the maps inside).
-  struct LoopShard {
-    mutable std::shared_mutex Mu;
+  /// One loop's cached results.
+  struct LoopCache {
     std::map<GraphSource, CachedGraph> Graphs;
     std::map<GraphSource, AccessClasses> Classes;
     std::shared_ptr<const PrivatizationWitness> Witness;
@@ -207,19 +192,16 @@ private:
 
   void hit();
   void miss();
-  LoopShard &shardFor(unsigned LoopId);
-  /// Serves a cache entry found in a shard: counts the hit, replays the
-  /// failure diagnostic for negative entries. Caller holds the shard lock.
+  /// Serves a cache entry: counts the hit, replays the failure diagnostic
+  /// for negative entries.
   const LoopDepGraph *served(const CachedGraph &Entry);
-  /// The conservative static graph entry of \p LoopId, computed and cached
-  /// in \p Shard on first use. Caller holds Shard.Mu exclusively (never
-  /// recurses into depGraph — that would self-deadlock on the shard).
-  const LoopDepGraph &staticGraphLocked(LoopShard &Shard, unsigned LoopId,
-                                        const AccessNumbering &Numbering);
-  /// The privatization witness of \p LoopId, computed from the static graph
-  /// and cached in \p Shard. Same locking contract as staticGraphLocked.
-  const PrivatizationWitness &witnessLocked(LoopShard &Shard, unsigned LoopId,
-                                            const AccessNumbering &Numbering);
+  /// The static graph and the witness of a loop, computed into \p L on
+  /// first use. These are steps of the Static, Witness and staticWitness
+  /// queries, not queries of their own, so they count no hit or miss.
+  const LoopDepGraph &staticGraph(LoopCache &L, unsigned LoopId,
+                                  const AccessNumbering &Numbering);
+  const PrivatizationWitness &witness(LoopCache &L, unsigned LoopId,
+                                      const AccessNumbering &Numbering);
 
   Module &M;
   DiagnosticEngine &DE;
@@ -227,35 +209,13 @@ private:
   std::string Entry = "main";
   const LoopDepGraph *External = nullptr;
 
-  /// Guards Num and PT (module-level results). Lock order: a thread may
-  /// acquire ModuleMu while holding a shard lock (the Static path needs
-  /// points-to), never the reverse.
-  mutable std::shared_mutex ModuleMu;
   std::optional<AccessNumbering> Num;
   std::optional<PointsTo> PT;
   std::shared_ptr<const BytecodeModule> BC;
-
-  /// Guards the shard MAP only; individual shards carry their own locks.
-  mutable std::shared_mutex ShardsMu;
-  std::map<unsigned, std::unique_ptr<LoopShard>> Shards;
-
-  /// Guard plans by loop id (see setGuardPlan). Own lock: plans are written
-  /// during the serial transform phase but read by concurrent bench/exec
-  /// setup, and they must not be swept by analysis invalidation.
-  mutable std::shared_mutex GuardMu;
+  std::map<unsigned, LoopCache> Loops;
+  /// Guard plans by loop id (see setGuardPlan); not swept by invalidation.
   std::map<unsigned, std::shared_ptr<const GuardPlan>> GuardPlansById;
-
-  struct {
-    std::atomic<uint64_t> CacheHits{0};
-    std::atomic<uint64_t> CacheMisses{0};
-    std::atomic<uint64_t> ProfileRuns{0};
-    std::atomic<uint64_t> PointsToRuns{0};
-    std::atomic<uint64_t> NumberingRuns{0};
-    std::atomic<uint64_t> StaticGraphRuns{0};
-    std::atomic<uint64_t> WitnessRuns{0};
-    std::atomic<uint64_t> ClassifyRuns{0};
-    std::atomic<uint64_t> BytecodeLowerings{0};
-  } Stats;
+  AnalysisStats Stats;
 };
 
 } // namespace gdse

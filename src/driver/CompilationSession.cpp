@@ -7,14 +7,184 @@
 
 #include "driver/CompilationSession.h"
 
-#include "driver/PassManager.h"
 #include "ir/IR.h"
+#include "rtpriv/RtPrivPass.h"
 #include "support/Support.h"
 #include "support/ThreadPool.h"
 
 #include <map>
 
 using namespace gdse;
+
+namespace {
+
+/// What a stage left intact, from the AnalysisManager's point of view.
+enum class Preserved : uint8_t {
+  All,           ///< IR unchanged: every cached analysis stays valid
+  AllExceptLoop, ///< only the target loop's IR changed (e.g. sync insertion)
+  None,          ///< module-wide rewrite: drop everything
+};
+
+/// --audit-deps: re-derive the source graph's privatization claims with the
+/// static witness and report every claim it refutes or cannot support.
+/// Runs before any transform: witness access ids match the profiled graph
+/// only before expansion rewrites the loop. Never mutates the IR.
+///
+/// Refutations (warnings, counted in R.AuditRefuted) are facts the profile
+/// asserts that a static proof contradicts — a profiled-private class with
+/// a statically certain loop-carried flow dependence, a profiled upwards-
+/// exposed load covered by same-iteration must-writes, or a profiled
+/// carried flow edge into such a load. Any refutation means one of the two
+/// analyses is wrong and the graph must not be trusted.
+///
+/// Unsupported claims (warnings, R.AuditUnsupported) are profiled-private
+/// classes the witness can only call Unknown: nothing is wrong, but runtime
+/// guards remain the only check for them.
+///
+/// Freshness-proven loads never refute exposure claims: a load of a
+/// per-iteration-fresh allocation can still read uninitialized bytes, which
+/// the profiler correctly reports as upwards-exposed. Only coverage proofs
+/// (loadProven && !rootsFresh) contradict the profile.
+Preserved auditDeps(AnalysisManager &AM, unsigned LoopId, GraphSource Source,
+                    PipelineResult &R) {
+  DiagnosticEngine &DE = AM.diags();
+  const LoopDepGraph *G = AM.depGraph(LoopId, Source);
+  const AccessClasses *Classes = AM.accessClasses(LoopId, Source);
+  if (!G || !Classes) // acquisition already diagnosed upstream
+    return Preserved::All;
+  std::shared_ptr<const PrivatizationWitness> W = AM.staticWitness(LoopId);
+
+  auto MemberList = [](const std::vector<AccessId> &Ids) {
+    std::string S;
+    for (AccessId Id : Ids)
+      S += formatString("%s%u", S.empty() ? "" : " ", Id);
+    return S;
+  };
+
+  for (unsigned CI = 0; CI < Classes->classes().size(); ++CI) {
+    const AccessClassInfo &C = Classes->classes()[CI];
+    if (!C.Private)
+      continue;
+    ++R.AuditChecked;
+    AccessId SharedId = InvalidAccessId;
+    bool AllPrivate = true;
+    for (AccessId Id : C.Members) {
+      PrivatizationVerdict V = W->verdictOf(Id);
+      if (V == PrivatizationVerdict::ProvenShared &&
+          SharedId == InvalidAccessId)
+        SharedId = Id;
+      if (V != PrivatizationVerdict::ProvenPrivate)
+        AllPrivate = false;
+    }
+    if (SharedId != InvalidAccessId) {
+      ++R.AuditRefuted;
+      DE.warning(formatString(
+          "refuted: profiled-private class %u (members %s) has a "
+          "statically certain loop-carried flow dependence through "
+          "access %u",
+          CI, MemberList(C.Members).c_str(), SharedId));
+    } else if (AllPrivate) {
+      ++R.AuditConfirmed;
+      DE.note(formatString(
+          "confirmed: profiled-private class %u (members %s) is "
+          "statically proven private",
+          CI, MemberList(C.Members).c_str()));
+    } else {
+      ++R.AuditUnsupported;
+      DE.warning(formatString(
+          "unsupported: profiled-private class %u (members %s) could not "
+          "be proven private statically%s; runtime guards remain the "
+          "only check",
+          CI, MemberList(C.Members).c_str(),
+          W->unmodeled() ? " (unmodeled bulk memory operation)" : ""));
+    }
+  }
+
+  for (AccessId Id : G->UpwardsExposedLoads)
+    if (W->loadProven(Id) && !W->rootsFresh(Id)) {
+      ++R.AuditRefuted;
+      DE.warning(formatString(
+          "refuted: profiled upwards-exposed load %u is covered by "
+          "same-iteration must-writes on every path",
+          Id));
+    }
+  for (const DepEdge &E : G->Edges)
+    if (E.Carried && E.Kind == DepKind::Flow && W->loadProven(E.Dst) &&
+        !W->rootsFresh(E.Dst)) {
+      ++R.AuditRefuted;
+      DE.warning(formatString(
+          "refuted: profiled loop-carried flow %u -> %u targets a load "
+          "covered by same-iteration must-writes",
+          E.Src, E.Dst));
+    }
+  return Preserved::All;
+}
+
+/// Step 3 of Figure 7: rewrite the module so every thread-private access
+/// class operates on per-thread copies (Tables 1-3).
+Preserved expansion(AnalysisManager &AM, unsigned LoopId,
+                    const PipelineOptions &Opts, PipelineResult &R,
+                    std::set<AccessId> &Honored) {
+  const LoopDepGraph *G = AM.depGraph(LoopId, Opts.Source);
+  if (!G) {
+    AM.diags().error("dependence graph unavailable");
+    return Preserved::All;
+  }
+  ExpansionInputs In;
+  In.Num = &AM.numbering();
+  In.PT = &AM.pointsTo();
+  In.Classes = AM.accessClasses(LoopId, Opts.Source);
+  // Commutative privatization needs the witness even when guard pruning is
+  // off: the reduction-op proof lives in the witness.
+  std::shared_ptr<const PrivatizationWitness> W;
+  if (Opts.Expansion.GuardPruning || Opts.Expansion.CommutativePrivatization) {
+    W = AM.staticWitness(LoopId);
+    In.Witness = W.get();
+  }
+  ExpansionResult ER =
+      expandLoop(AM.module(), LoopId, *G, AM.diags(), Opts.Expansion, In);
+  if (!ER.Ok) {
+    // The module may be partially rewritten; the caller must discard it,
+    // but drop the caches in case the session object outlives the error.
+    return Preserved::None;
+  }
+  R.Expansion = ER.Stats;
+  R.Guard = ER.Guard;
+  AM.setGuardPlan(LoopId, ER.Guard);
+  Honored = std::move(ER.PrivateAccesses);
+  const ExpansionStats &S = ER.Stats;
+  bool Untouched = S.ExpandedObjects == 0 && S.PromotedPointerSlots == 0 &&
+                   S.SpanStoresInserted == 0 &&
+                   S.PrivateAccessesRedirected == 0 &&
+                   S.SharedAccessesRedirected == 0;
+  return Untouched ? Preserved::All : Preserved::None;
+}
+
+/// The §4.2.1 baseline: route every private access through the VM's
+/// runtime access-control library instead of expanding.
+Preserved rtpriv(AnalysisManager &AM, unsigned LoopId, PipelineResult &R,
+                 std::set<AccessId> &Honored) {
+  RtPrivResult RR = applyRuntimePrivatization(AM.module(), R.PrivateAccesses,
+                                              AM.diags(), LoopId);
+  if (!RR.Ok)
+    return Preserved::None;
+  R.RtPrivWrapped = RR.AccessesWrapped;
+  Honored = R.PrivateAccesses;
+  return RR.AccessesWrapped ? Preserved::None : Preserved::All;
+}
+
+/// Step 4 of Figure 7: decide DOALL vs DOACROSS and wrap residual-
+/// dependence statements in ordered regions. Plans against the graph
+/// snapshot the privatization stage honored (R.Graph), never a re-profiled
+/// one.
+Preserved planner(AnalysisManager &AM, unsigned LoopId, PipelineResult &R,
+                  const std::set<AccessId> &Honored) {
+  R.Plan = planParallelLoop(AM.module(), LoopId, R.Graph, Honored,
+                            &AM.diags());
+  return R.Plan.Parallelized ? Preserved::AllExceptLoop : Preserved::All;
+}
+
+} // namespace
 
 CompilationSession::CompilationSession(Module &M) : M(M), AM(M, DE, &TR) {}
 
@@ -33,13 +203,13 @@ PipelineResult CompilationSession::compileLoop(unsigned LoopId,
   PipelineResult R;
   R.LoopId = LoopId;
   size_t DiagStart = DE.size();
+  unsigned ErrorsAtStart = DE.errorCount();
   AM.setEntry(Opts.Entry);
   AM.setExternalGraph(Opts.ExternalGraph);
 
   auto finish = [&](bool Ok) -> PipelineResult & {
     R.Diags = DE.diagnosticsSince(DiagStart);
-    R.Errors = DE.errorStrings(DiagStart);
-    R.Ok = Ok && R.Errors.empty();
+    R.Ok = Ok && DE.errorCount() == ErrorsAtStart;
     return R;
   };
 
@@ -56,26 +226,47 @@ PipelineResult CompilationSession::compileLoop(unsigned LoopId,
   R.Breakdown = computeAccessBreakdown(*G, *Classes);
   R.PrivateAccesses = Classes->privateAccesses();
 
-  // --- Privatization + planning as registered passes. ---------------------
-  PassManager PM;
-  // The audit must see the untransformed module: witness access ids match
-  // the profiled graph only before expansion rewrites the loop.
-  if (Opts.AuditDeps)
-    PM.add(createAuditPass());
+  // --- Privatization + planning, in a fixed order. ------------------------
+  // Each stage runs under its pass name: a DiagnosticScope attributes what
+  // it reports, "pass.<name>" times it and counts its runs, and the caches
+  // are invalidated per what it preserved. An error ends the pipeline.
+  auto runStage = [&](const char *Name, auto Stage) {
+    unsigned ErrorsBefore = DE.errorCount();
+    std::string Timer = std::string("pass.") + Name;
+    Preserved PA;
+    {
+      DiagnosticScope Scope(DE, Name, LoopId);
+      TimerScope T(&TR, Timer);
+      PA = Stage();
+    }
+    if (PA == Preserved::AllExceptLoop)
+      AM.invalidateLoop(LoopId);
+    else if (PA == Preserved::None)
+      AM.invalidateModule();
+    TR.bumpCounter(Timer + ".runs");
+    return DE.errorCount() == ErrorsBefore;
+  };
+  // Private accesses the privatization stage honored (empty when none ran)
+  // — the set the planner must treat as decontended.
+  std::set<AccessId> Honored;
+  if (Opts.AuditDeps && !runStage("audit-deps", [&] {
+        return auditDeps(AM, LoopId, Opts.Source, R);
+      }))
+    return finish(false);
+  bool Ok = true;
   switch (Opts.Method) {
   case PrivatizationMethod::Expansion:
-    PM.add(createExpansionPass());
+    Ok = runStage("expansion",
+                  [&] { return expansion(AM, LoopId, Opts, R, Honored); });
     break;
   case PrivatizationMethod::Runtime:
-    PM.add(createRtPrivPass());
+    Ok = runStage("rtpriv", [&] { return rtpriv(AM, LoopId, R, Honored); });
     break;
   case PrivatizationMethod::None:
     break;
   }
-  PM.add(createPlannerPass());
-
-  PassContext Cx{M, LoopId, Opts, AM, DE, R, {}};
-  bool Ok = PM.run(Cx, &TR);
+  Ok = Ok && runStage("planner",
+                      [&] { return planner(AM, LoopId, R, Honored); });
   return finish(Ok);
 }
 
@@ -113,7 +304,7 @@ CompilationSession::compileBatch(const std::vector<BatchUnit> &Units,
 
   // Group unit indices by module, preserving each module's first-appearance
   // order. A module's units share one session (cached analyses carry
-  // across them) and are serialized on one worker: transform passes mutate
+  // across them) and are serialized on one worker: transform stages mutate
   // the module IR, which must never happen concurrently. Distinct modules
   // share nothing and compile fully in parallel.
   std::vector<Module *> GroupModules;

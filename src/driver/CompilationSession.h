@@ -11,27 +11,31 @@
 ///
 ///  - an AnalysisManager caching per-module (numbering, points-to) and
 ///    per-(loop, graph-source) results (dependence graphs, Definition 4/5
-///    classes), with invalidation driven by the transform passes;
+///    classes), with invalidation driven by the transform stages;
 ///  - a DiagnosticEngine accumulating structured diagnostics (severity,
 ///    pass name, loop id) across every stage;
-///  - a TimingRegistry giving every pass and cached analysis automatic
+///  - a TimingRegistry giving every stage and cached analysis automatic
 ///    wall-clock + VM-cycle timing and named counters (`-time-passes` /
 ///    `-stats`-style reports).
 ///
 /// The session supports multi-loop batch compilation: compileAll() expands
 /// every candidate loop of the module in one pass over the IR, with the
 /// profiler invoked at most once per (loop, graph source) — analyses are
-/// reused from cache until a transform pass actually changes the IR.
+/// reused from cache until a transform stage actually changes the IR.
 ///
 /// compileBatch() scales this across MODULES: independent (module, loops)
 /// units are distributed over a fixed-size worker pool. Units of the same
 /// module share one session (and its caches) and run serially in submission
-/// order on one worker — transform passes mutate the module, which no lock
-/// can make concurrent — while units of different modules compile fully in
-/// parallel. Each worker buffers diagnostics and timing into its unit's own
-/// session; the buffers are merged in deterministic unit order at the join
-/// point, so the batch output is bit-identical to a serial run regardless
-/// of worker count or scheduling.
+/// order on one worker — transform stages mutate the module — while units
+/// of different modules compile fully in parallel. Each worker buffers
+/// diagnostics and timing into its unit's own session; the buffers are
+/// merged in deterministic unit order at the join point, so the batch
+/// output is bit-identical to a serial run regardless of worker count or
+/// scheduling.
+///
+/// A session has no locks: one thread owns it at a time. compileBatch hands
+/// each session to exactly one worker and reads it back only after the
+/// join.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -46,8 +46,6 @@ struct PipelineOptions {
 
 struct PipelineResult {
   bool Ok = false;
-  /// Error messages only — the legacy flat view. Prefer Diags.
-  std::vector<std::string> Errors;
   /// Every diagnostic (all severities) emitted while compiling this loop,
   /// each attributed with the emitting pass and the loop id.
   std::vector<Diagnostic> Diags;
@@ -58,7 +56,7 @@ struct PipelineResult {
   ExpansionStats Expansion;
   PlanResult Plan;
   unsigned RtPrivWrapped = 0;
-  /// Guarded-execution metadata produced by the expansion pass (null when
+  /// Guarded-execution metadata produced by the expansion stage (null when
   /// nothing was privatized or Method != Expansion). Hand to
   /// InterpOptions::GuardPlans to validate the privatization at run time.
   std::shared_ptr<const GuardPlan> Guard;

@@ -123,15 +123,12 @@ std::set<uint32_t> intersect(const std::set<uint32_t> &A,
 } // namespace
 
 ExpansionResult gdse::expandLoop(Module &M, unsigned LoopId,
-                                 const LoopDepGraph &G,
+                                 const LoopDepGraph &G, DiagnosticEngine &DE,
                                  const ExpansionOptions &Opts,
                                  const ExpansionInputs &Inputs) {
   ExpansionResult Result;
-  ExpansionContext Cx(M, G, Opts, Result);
-  Cx.DE = Inputs.Diags;
-  std::optional<DiagnosticScope> Scope;
-  if (Inputs.Diags)
-    Scope.emplace(*Inputs.Diags, "expansion", LoopId);
+  ExpansionContext Cx(M, G, Opts, Result, DE);
+  DiagnosticScope Scope(DE, "expansion", LoopId);
 
   std::optional<AccessNumbering> OwnedNum;
   if (!Inputs.Num)

@@ -106,8 +106,8 @@ struct ExpansionStats {
 };
 
 struct ExpansionResult {
+  /// False after any error, each reported to expandLoop's DiagnosticEngine.
   bool Ok = false;
-  std::vector<std::string> Errors;
   ExpansionStats Stats;
   /// Private access ids (Definition 5) the transformation honored.
   std::set<AccessId> PrivateAccesses;
@@ -119,17 +119,14 @@ struct ExpansionResult {
   std::shared_ptr<const GuardPlan> Guard;
 };
 
-/// Precomputed analysis results (and the structured diagnostic sink) an
-/// analysis manager can hand to expandLoop so nothing is recomputed. Every
-/// field is optional; whatever is missing is computed locally. Provided
-/// results must describe the CURRENT (pre-expansion) state of the module.
+/// Precomputed analysis results an analysis manager can hand to expandLoop
+/// so nothing is recomputed. Every field is optional; whatever is missing is
+/// computed locally. Provided results must describe the CURRENT
+/// (pre-expansion) state of the module.
 struct ExpansionInputs {
   const AccessNumbering *Num = nullptr;
   const PointsTo *PT = nullptr;
   const AccessClasses *Classes = nullptr;
-  /// When set, every expansion error is also reported here, attributed to
-  /// pass "expansion" and the target loop.
-  DiagnosticEngine *Diags = nullptr;
   /// Static privatization witness for the target loop (same access ids as
   /// \p G). When set and ExpansionOptions::GuardPruning is on, classes the
   /// witness proves private are elided from the guard plan.
@@ -139,8 +136,10 @@ struct ExpansionInputs {
 /// Applies general data structure expansion to the loop \p LoopId of \p M,
 /// driven by the dependence graph \p G obtained for that loop. On success
 /// the module is rewritten in place (and re-verified); on failure the module
-/// must be discarded (it may be partially rewritten).
+/// must be discarded (it may be partially rewritten). Errors are reported to
+/// \p DE, attributed to pass "expansion" and the target loop.
 ExpansionResult expandLoop(Module &M, unsigned LoopId, const LoopDepGraph &G,
+                           DiagnosticEngine &DE,
                            const ExpansionOptions &Opts = ExpansionOptions(),
                            const ExpansionInputs &Inputs = ExpansionInputs());
 

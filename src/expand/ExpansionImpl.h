@@ -131,20 +131,21 @@ struct ExpansionContext {
   /// for hoisting redirection addresses to the top of the loop body.
   std::set<VarDecl *> StableBases;
 
-  /// Structured diagnostic sink; may be null (legacy callers). Attribution
-  /// (pass name, loop id) comes from the DiagnosticScope expandLoop pushes.
-  DiagnosticEngine *DE = nullptr;
+  /// Structured diagnostic sink. Attribution (pass name, loop id) comes
+  /// from the DiagnosticScope expandLoop pushes.
+  DiagnosticEngine &DE;
+  bool Failed = false;
 
   ExpansionContext(Module &M, const LoopDepGraph &G,
-                   const ExpansionOptions &Opts, ExpansionResult &Result)
-      : M(M), B(M), G(G), Opts(Opts), Result(Result) {}
+                   const ExpansionOptions &Opts, ExpansionResult &Result,
+                   DiagnosticEngine &DE)
+      : M(M), B(M), G(G), Opts(Opts), Result(Result), DE(DE) {}
 
   void error(const std::string &Msg) {
-    Result.Errors.push_back(Msg);
-    if (DE)
-      DE->error(Msg);
+    DE.error(Msg);
+    Failed = true;
   }
-  bool failed() const { return !Result.Errors.empty(); }
+  bool failed() const { return Failed; }
 
   TypeContext &types() { return M.getTypes(); }
 

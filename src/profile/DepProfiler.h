@@ -191,7 +191,7 @@ struct ProfileResult {
 /// run uses \p Precompiled when given (the AnalysisManager's cached
 /// per-module lowering) and lowers the module itself otherwise. The
 /// reference tree-walker produces the identical event stream when run with
-/// a DepProfiler observer (EngineDiffTest, PassManagerTest).
+/// a DepProfiler observer (EngineDiffTest, CompilationSessionTest).
 ProfileResult
 profileLoop(Module &M, unsigned TargetLoopId, const std::string &Entry = "main",
             std::shared_ptr<const BytecodeModule> Precompiled = nullptr);

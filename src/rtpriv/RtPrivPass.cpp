@@ -59,22 +59,16 @@ private:
 
 RtPrivResult gdse::applyRuntimePrivatization(Module &M,
                                              const std::set<AccessId> &Private,
-                                             DiagnosticEngine *DE,
+                                             DiagnosticEngine &DE,
                                              unsigned LoopId) {
   RtPrivResult Result;
   RtPrivRewriter RW(M, Private, Result);
   for (Function *F : M.getFunctions())
     RW.run(F);
   std::vector<std::string> Errs = verifyModule(M);
-  for (const std::string &E : Errs) {
-    std::string Msg = "post-rtpriv verification: " + E;
-    if (DE) {
-      Diagnostic &D = DE->error(Msg);
-      D.Pass = "rtpriv";
-      D.LoopId = LoopId;
-    }
-    Result.Errors.push_back(std::move(Msg));
-  }
-  Result.Ok = Result.Errors.empty();
+  DiagnosticScope Scope(DE, "rtpriv", LoopId);
+  for (const std::string &E : Errs)
+    DE.error("post-rtpriv verification: " + E);
+  Result.Ok = Errs.empty();
   return Result;
 }

@@ -28,24 +28,21 @@
 #include "support/Diagnostics.h"
 
 #include <set>
-#include <string>
-#include <vector>
 
 namespace gdse {
 
 struct RtPrivResult {
+  /// False after any error, each reported to the DiagnosticEngine.
   bool Ok = false;
-  std::vector<std::string> Errors;
   unsigned AccessesWrapped = 0;
 };
 
 /// Routes every access in \p Private through the runtime access-control
-/// library. When \p DE is given, errors are additionally reported there as
-/// structured diagnostics attributed to pass "rtpriv" and loop \p LoopId.
+/// library. Errors are reported to \p DE, attributed to pass "rtpriv" and
+/// loop \p LoopId.
 RtPrivResult applyRuntimePrivatization(Module &M,
                                        const std::set<AccessId> &Private,
-                                       DiagnosticEngine *DE = nullptr,
-                                       unsigned LoopId = 0);
+                                       DiagnosticEngine &DE, unsigned LoopId);
 
 } // namespace gdse
 

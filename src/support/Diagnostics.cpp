@@ -41,49 +41,16 @@ Diagnostic &DiagnosticEngine::report(DiagSeverity S, std::string Msg) {
   Diagnostic D;
   D.Severity = S;
   D.Message = std::move(Msg);
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Scopes.find(std::this_thread::get_id());
-  if (It != Scopes.end() && !It->second.empty()) {
-    D.Pass = It->second.back().Pass;
-    D.LoopId = It->second.back().LoopId;
+  if (!Scopes.empty()) {
+    D.Pass = Scopes.back().Pass;
+    D.LoopId = Scopes.back().LoopId;
   }
-  if (S == DiagSeverity::Error)
-    ++NumErrors;
-  Diags.push_back(std::move(D));
-  return Diags.back();
+  return report(std::move(D));
 }
 
 Diagnostic &DiagnosticEngine::report(Diagnostic D) {
-  std::lock_guard<std::mutex> Lock(Mu);
   if (D.Severity == DiagSeverity::Error)
     ++NumErrors;
   Diags.push_back(std::move(D));
   return Diags.back();
-}
-
-void DiagnosticEngine::pushScope(std::string Pass, unsigned LoopId) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Scopes[std::this_thread::get_id()].push_back({std::move(Pass), LoopId});
-}
-
-void DiagnosticEngine::popScope() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Scopes.find(std::this_thread::get_id());
-  It->second.pop_back();
-  if (It->second.empty())
-    Scopes.erase(It);
-}
-
-std::vector<std::string> DiagnosticEngine::errorStrings(size_t Since) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<std::string> Out;
-  for (size_t I = Since; I < Diags.size(); ++I)
-    if (Diags[I].isError())
-      Out.push_back(Diags[I].Message);
-  return Out;
-}
-
-std::vector<Diagnostic> DiagnosticEngine::diagnosticsSince(size_t Since) const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return std::vector<Diagnostic>(Diags.begin() + Since, Diags.end());
 }

@@ -10,20 +10,15 @@
 /// Diagnostic carries a severity, the name of the pass or component that
 /// emitted it, the loop it concerns (0 = module-level), an optional source
 /// line, and the message. The DiagnosticEngine accumulates them for one
-/// compilation session; legacy `std::vector<std::string>` error lists are
-/// derived views (see errorStrings()).
+/// compilation session.
 ///
 /// Deeply nested code does not thread (pass, loop) attribution by hand:
 /// DiagnosticScope pushes a context onto the engine, and report() fills
 /// unattributed fields from the innermost scope.
 ///
-/// The engine is internally synchronized so concurrent analysis queries on
-/// a shared session may report from several worker threads: the diagnostic
-/// list is appended under a mutex (std::deque keeps returned references
-/// stable), and scope stacks are PER THREAD, so one worker's attribution
-/// context never leaks into another worker's diagnostics. Deterministic
-/// ORDERING across workers is the batch driver's job: each worker buffers
-/// into its own engine and the buffers are flushed in unit order at join.
+/// An engine is not synchronized: it belongs to one session (or one run),
+/// used by one thread at a time. The batch driver gives each worker its own
+/// session and flushes the engines in unit order at the join point.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,10 +27,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace gdse {
@@ -96,29 +88,18 @@ public:
 
   /// Snapshot of everything reported so far, in emission order.
   std::vector<Diagnostic> diagnostics() const { return diagnosticsSince(0); }
-  size_t size() const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return Diags.size();
-  }
-  Diagnostic operator[](size_t I) const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return Diags[I];
-  }
+  size_t size() const { return Diags.size(); }
+  const Diagnostic &operator[](size_t I) const { return Diags[I]; }
 
-  bool hasErrors() const { return errorCount() != 0; }
-  unsigned errorCount() const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return NumErrors;
-  }
+  bool hasErrors() const { return NumErrors != 0; }
+  unsigned errorCount() const { return NumErrors; }
 
-  /// Rendered messages of every error-severity diagnostic emitted at index
-  /// >= \p Since — the bridge to legacy `Errors` vectors.
-  std::vector<std::string> errorStrings(size_t Since = 0) const;
   /// Structured slice of everything emitted at index >= \p Since.
-  std::vector<Diagnostic> diagnosticsSince(size_t Since) const;
+  std::vector<Diagnostic> diagnosticsSince(size_t Since) const {
+    return std::vector<Diagnostic>(Diags.begin() + Since, Diags.end());
+  }
 
   void clear() {
-    std::lock_guard<std::mutex> Lock(Mu);
     Diags.clear();
     NumErrors = 0;
   }
@@ -129,16 +110,12 @@ private:
     std::string Pass;
     unsigned LoopId = 0;
   };
-  void pushScope(std::string Pass, unsigned LoopId);
-  void popScope();
 
-  mutable std::mutex Mu;
   /// deque, not vector: report() hands out a reference to the appended
-  /// diagnostic, which must survive later appends from other threads.
+  /// diagnostic, which must survive later appends.
   std::deque<Diagnostic> Diags;
-  /// Scope stacks keyed by thread: attribution contexts are thread-local
-  /// by construction (DiagnosticScope is a stack-bound RAII object).
-  std::map<std::thread::id, std::vector<Context>> Scopes;
+  /// Innermost attribution context last (DiagnosticScope is stack-bound).
+  std::vector<Context> Scopes;
   unsigned NumErrors = 0;
 };
 
@@ -149,9 +126,9 @@ class DiagnosticScope {
 public:
   DiagnosticScope(DiagnosticEngine &DE, std::string Pass, unsigned LoopId = 0)
       : DE(DE) {
-    DE.pushScope(std::move(Pass), LoopId);
+    DE.Scopes.push_back({std::move(Pass), LoopId});
   }
-  ~DiagnosticScope() { DE.popScope(); }
+  ~DiagnosticScope() { DE.Scopes.pop_back(); }
   DiagnosticScope(const DiagnosticScope &) = delete;
   DiagnosticScope &operator=(const DiagnosticScope &) = delete;
 

@@ -52,23 +52,18 @@ DiagnosticEngine &gdse::envDiags() {
 }
 
 // Warns once per variable name for the process lifetime, so a hot path
-// calling envInt per run does not spam. Reachable from compileBatch worker
-// threads, so every piece of shared state here must be synchronized: the
-// once-latch is mutex-guarded, and the pass attribution rides through a
-// DiagnosticScope so it is stamped inside the engine's own lock — mutating
-// the returned Diagnostic after report() would race with concurrent
-// snapshot readers (diagnostics()/errorStrings()).
+// calling envInt per run does not spam. envFlag/envInt may be called from
+// any thread, while the DiagnosticEngine is not synchronized: the latch
+// mutex is held across the report, so envDiags() only ever sees one
+// writer at a time.
 void gdse::envWarnOnce(const char *Name, const std::string &Msg) {
   static std::mutex Mu;
   static std::set<std::string> Warned;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (!Warned.insert(Name).second)
-      return;
-  }
+  std::lock_guard<std::mutex> Lock(Mu);
+  if (!Warned.insert(Name).second)
+    return;
   DiagnosticScope Scope(envDiags(), "env");
-  Diagnostic D = envDiags().warning(Msg); // copy: render outside the lock
-  std::fprintf(stderr, "%s\n", D.str().c_str());
+  std::fprintf(stderr, "%s\n", envDiags().warning(Msg).str().c_str());
 }
 
 bool gdse::envFlag(const char *Name, bool Default) {

@@ -43,7 +43,9 @@ std::string formatByteSize(uint64_t Bytes);
 /// Process-wide sink for environment-variable parsing warnings (pass
 /// "env"). envFlag/envInt report malformed values here — once per variable
 /// name — and mirror the rendered warning to stderr, instead of silently
-/// falling back. Mostly consumed by tests; thread-safe like every engine.
+/// falling back. Mostly consumed by tests. envWarnOnce serializes its
+/// writes, so the env readers are safe from any thread; read the engine
+/// only while no other thread may be reporting into it.
 DiagnosticEngine &envDiags();
 
 /// Reads the boolean environment flag \p Name. Unset, empty, "0", "false",

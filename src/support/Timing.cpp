@@ -22,7 +22,6 @@ PassTimingRecord &TimingRegistry::lookup(const std::string &Name) {
 
 void TimingRegistry::record(const std::string &Name, uint64_t WallNanos,
                             uint64_t VmCycles) {
-  std::lock_guard<std::mutex> Lock(Mu);
   PassTimingRecord &R = lookup(Name);
   ++R.Invocations;
   R.WallNanos += WallNanos;
@@ -30,51 +29,32 @@ void TimingRegistry::record(const std::string &Name, uint64_t WallNanos,
 }
 
 void TimingRegistry::addVmCycles(const std::string &Name, uint64_t Cycles) {
-  std::lock_guard<std::mutex> Lock(Mu);
   lookup(Name).VmCycles += Cycles;
 }
 
 void TimingRegistry::bumpCounter(const std::string &Counter, uint64_t Delta) {
-  std::lock_guard<std::mutex> Lock(Mu);
   Counters[Counter] += Delta;
 }
 
 void TimingRegistry::merge(const TimingRegistry &Other) {
-  // Snapshot Other first so the two locks are never held together (a
-  // self-merge or cross-merge pair cannot deadlock).
-  std::vector<PassTimingRecord> TheirRecords = Other.records();
-  std::map<std::string, uint64_t> TheirCounters = Other.counters();
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (const PassTimingRecord &R : TheirRecords) {
+  for (const PassTimingRecord &R : Other.Records) {
     PassTimingRecord &Mine = lookup(R.Name);
     Mine.Invocations += R.Invocations;
     Mine.WallNanos += R.WallNanos;
     Mine.VmCycles += R.VmCycles;
   }
-  for (const auto &[Name, Value] : TheirCounters)
+  for (const auto &[Name, Value] : Other.Counters)
     Counters[Name] += Value;
 }
 
-std::vector<PassTimingRecord> TimingRegistry::records() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Records;
-}
-
 uint64_t TimingRegistry::counter(const std::string &Counter) const {
-  std::lock_guard<std::mutex> Lock(Mu);
   auto It = Counters.find(Counter);
   return It == Counters.end() ? 0 : It->second;
 }
 
-std::map<std::string, uint64_t> TimingRegistry::counters() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Counters;
-}
-
 std::string TimingRegistry::timingReport() const {
-  std::vector<PassTimingRecord> Snapshot = records();
   uint64_t TotalNanos = 0;
-  for (const PassTimingRecord &R : Snapshot)
+  for (const PassTimingRecord &R : Records)
     TotalNanos += R.WallNanos;
   std::string Out;
   Out += "===---------------------------------------------------------===\n";
@@ -84,7 +64,7 @@ std::string TimingRegistry::timingReport() const {
                       static_cast<double>(TotalNanos) / 1e6);
   Out += formatString("  %10s  %6s  %5s  %12s  Name\n", "Wall (ms)", "%", "#",
                       "VM cycles");
-  for (const PassTimingRecord &R : Snapshot) {
+  for (const PassTimingRecord &R : Records) {
     double Ms = static_cast<double>(R.WallNanos) / 1e6;
     double Pct = TotalNanos
                      ? 100.0 * static_cast<double>(R.WallNanos) /
@@ -99,12 +79,11 @@ std::string TimingRegistry::timingReport() const {
 }
 
 std::string TimingRegistry::statsReport() const {
-  std::map<std::string, uint64_t> Snapshot = counters();
   std::string Out;
   Out += "===---------------------------------------------------------===\n";
   Out += "                        ... Statistics ...\n";
   Out += "===---------------------------------------------------------===\n";
-  for (const auto &[Name, Value] : Snapshot)
+  for (const auto &[Name, Value] : Counters)
     Out += formatString("  %12llu  %s\n",
                         static_cast<unsigned long long>(Value), Name.c_str());
   return Out;

@@ -14,11 +14,10 @@
 /// accesses redirected, ...). Reports are deterministic in layout; only the
 /// wall-clock column varies between runs.
 ///
-/// The registry is internally synchronized: concurrent analysis queries on a
-/// shared session may record into it from several worker threads. Report
-/// DETERMINISM, however, is a structural property the batch driver provides
-/// by giving each worker its own registry and merging them in unit order at
-/// the join point (see TimingRegistry::merge).
+/// A registry is not synchronized: it belongs to one session, used by one
+/// thread at a time. The batch driver gives each worker its own session and
+/// merges the registries in unit order at the join point (see
+/// TimingRegistry::merge), which also makes the merged report deterministic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +27,6 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -59,10 +57,10 @@ public:
   /// unit order yields a deterministic combined report.
   void merge(const TimingRegistry &Other);
 
-  /// Records in first-seen order (snapshot).
-  std::vector<PassTimingRecord> records() const;
+  /// Records in first-seen order.
+  const std::vector<PassTimingRecord> &records() const { return Records; }
   uint64_t counter(const std::string &Counter) const;
-  std::map<std::string, uint64_t> counters() const;
+  const std::map<std::string, uint64_t> &counters() const { return Counters; }
 
   /// `-time-passes`-style table: one row per record, columns for wall
   /// milliseconds, share of total, invocations, and VM cycles.
@@ -71,12 +69,10 @@ public:
   std::string statsReport() const;
 
 private:
-  mutable std::mutex Mu;
   std::vector<PassTimingRecord> Records;
   std::map<std::string, size_t> Index;
   std::map<std::string, uint64_t> Counters;
 
-  /// Requires Mu held.
   PassTimingRecord &lookup(const std::string &Name);
 };
 

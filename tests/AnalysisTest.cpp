@@ -14,6 +14,8 @@
 #include "ir/IRVisitor.h"
 #include "profile/DepProfiler.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 using namespace gdse;
@@ -375,7 +377,7 @@ RunResult runParallel(const std::string &Src, int N) {
   auto M = parseMiniCOrDie(Src, "sim test");
   std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
   PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front());
-  EXPECT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
+  EXPECT_TRUE(PR.Ok) << firstError(PR);
   InterpOptions IO;
   IO.NumThreads = N;
   Interp I(*M, IO);

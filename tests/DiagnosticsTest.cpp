@@ -15,6 +15,8 @@
 #include "interp/Interp.h"
 #include "support/Support.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -35,12 +37,11 @@ PipelineResult tryTransform(const std::string &Src,
 void expectError(const PipelineResult &R, const std::string &Substr) {
   EXPECT_FALSE(R.Ok);
   bool Found = false;
-  for (const std::string &E : R.Errors)
-    if (E.find(Substr) != std::string::npos)
+  for (const Diagnostic &D : R.Diags)
+    if (D.isError() && D.Message.find(Substr) != std::string::npos)
       Found = true;
   EXPECT_TRUE(Found) << "missing diagnostic containing '" << Substr
-                     << "'; got: "
-                     << (R.Errors.empty() ? "(none)" : R.Errors.front());
+                     << "'; got: " << firstError(R);
 }
 
 TEST(Diagnostics, ReallocOfExpandedStructureRejected) {
@@ -216,20 +217,12 @@ TEST(Diagnostics, ExpansionErrorsCarryPassAndLoop) {
   ASSERT_NE(D, nullptr);
   EXPECT_EQ(D->Severity, DiagSeverity::Error);
   EXPECT_EQ(D->LoopId, R.LoopId);
-  // The legacy flat view stays in sync: same message, no prefix.
-  bool InErrors = false;
-  for (const std::string &E : R.Errors)
-    if (E == D->Message)
-      InErrors = true;
-  EXPECT_TRUE(InErrors);
 }
 
 TEST(Diagnostics, EnvWarnOnceConcurrentIsRaceFreeAndExactlyOnce) {
-  // The warn-once sink is reachable from compileBatch worker threads: many
-  // threads hammering envFlag/envInt with malformed values must (a) be
-  // tsan-clean (this suite runs in the tsan CI matrix) and (b) emit exactly
-  // one warning per variable name, even while other threads concurrently
-  // snapshot the shared engine.
+  // envFlag/envInt may be called from any thread: many threads hammering
+  // them with malformed values must (a) be tsan-clean (this suite runs in
+  // the tsan CI matrix) and (b) emit exactly one warning per variable name.
   static const char *Names[] = {
       "GDSE_TEST_WARNONCE_A", "GDSE_TEST_WARNONCE_B", "GDSE_TEST_WARNONCE_C",
       "GDSE_TEST_WARNONCE_D"};
@@ -247,8 +240,6 @@ TEST(Diagnostics, EnvWarnOnceConcurrentIsRaceFreeAndExactlyOnce) {
       for (unsigned I = 0; I < 200; ++I) {
         envFlag(Names[(T + I) % 2], false);
         envInt(Names[2 + ((T + I) % 2)], 7);
-        if (I % 16 == 0)
-          (void)envDiags().diagnostics(); // concurrent snapshot reader
       }
     });
   }

@@ -32,6 +32,8 @@
 #include "ir/IRVisitor.h"
 #include "workloads/Workloads.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <map>
@@ -287,7 +289,7 @@ TEST_P(WorkloadDiff, TransformedParallel) {
   for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
     PipelineResult PR = CompilationSession(*M).compileLoop(LoopId);
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
-                       << (PR.Errors.empty() ? "?" : PR.Errors.front());
+                       << firstError(PR);
     if (PR.Guard)
       Plans.push_back(PR.Guard);
   }
@@ -304,7 +306,7 @@ TEST_P(WorkloadDiff, RuntimePrivatized) {
   for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
     PipelineResult PR = CompilationSession(*M).compileLoop(LoopId, PO);
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
-                       << (PR.Errors.empty() ? "?" : PR.Errors.front());
+                       << firstError(PR);
   }
   diffModule(*M, 4, std::string(W->Name) + "/rtpriv@4");
 }
@@ -410,7 +412,7 @@ TEST_P(WorkloadThreads, TransformedParallel) {
   for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
     PipelineResult PR = CompilationSession(*M).compileLoop(LoopId);
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
-                       << (PR.Errors.empty() ? "?" : PR.Errors.front());
+                       << firstError(PR);
     if (PR.Guard)
       Plans.push_back(PR.Guard);
   }
@@ -427,7 +429,7 @@ TEST_P(WorkloadThreads, RuntimePrivatized) {
   for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
     PipelineResult PR = CompilationSession(*M).compileLoop(LoopId, PO);
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
-                       << (PR.Errors.empty() ? "?" : PR.Errors.front());
+                       << firstError(PR);
   }
   // rtpriv loops are ineligible for host threading (serial-order shadow
   // map); the engine must detect that per invocation and simulate.
@@ -487,7 +489,7 @@ TEST_P(ReductionMatrix, ClassifiesCommutativeAndGoesDoall) {
   ASSERT_FALSE(Cands.empty());
   PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front());
   ASSERT_TRUE(PR.Ok) << W->Name << ": "
-                     << (PR.Errors.empty() ? "?" : PR.Errors.front());
+                     << firstError(PR);
   EXPECT_GE(PR.Expansion.CommutativeClasses, 1u) << W->Name;
   EXPECT_GE(PR.Expansion.CommutativeObjects, 1u) << W->Name;
   EXPECT_EQ(PR.Plan.Kind, ParallelKind::DOALL) << W->Name;
@@ -506,7 +508,7 @@ TEST_P(ReductionMatrix, TierDisabledControl) {
   for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
     PipelineResult PR = CompilationSession(*M).compileLoop(LoopId, Opts);
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
-                       << (PR.Errors.empty() ? "?" : PR.Errors.front());
+                       << firstError(PR);
     EXPECT_EQ(PR.Expansion.CommutativeClasses, 0u) << W->Name;
   }
   diffModule(*M, 4, std::string(W->Name) + "/tier-off@4");
@@ -543,7 +545,7 @@ int main() {
   std::unique_ptr<Module> M = parseMiniCOrDie(Src, "threads-doacross");
   for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
     PipelineResult PR = CompilationSession(*M).compileLoop(LoopId);
-    ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
+    ASSERT_TRUE(PR.Ok) << firstError(PR);
   }
   diffThreadsModule(*M, "threads-doacross");
 }
@@ -628,7 +630,7 @@ int main() {
   PipelineOptions Opts;
   Opts.Source = GraphSource::Static;
   PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front(), Opts);
-  ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
+  ASSERT_TRUE(PR.Ok) << firstError(PR);
   ASSERT_EQ(PR.Plan.Kind, ParallelKind::DOACROSS);
   ASSERT_GE(PR.Plan.OrderedRegions, 1u);
   EngineRun B = runNoObs(*M, ExecEngine::Bytecode, 4);
@@ -821,7 +823,7 @@ int main() {
   std::vector<std::shared_ptr<const GuardPlan>> Plans;
   for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
     PipelineResult PR = CompilationSession(*M).compileLoop(LoopId);
-    ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
+    ASSERT_TRUE(PR.Ok) << firstError(PR);
     if (PR.Guard)
       Plans.push_back(PR.Guard);
   }

@@ -48,8 +48,9 @@ E2EResult runEndToEnd(const std::string &Src, int Threads,
     if (Candidates.empty())
       return R;
     R.Pipeline = CompilationSession(*M).compileLoop(Candidates.front(), Opts);
-    for (const std::string &E : R.Pipeline.Errors)
-      ADD_FAILURE() << "pipeline error: " << E;
+    for (const Diagnostic &D : R.Pipeline.Diags)
+      if (D.isError())
+        ADD_FAILURE() << "pipeline error: " << D.Message;
     if (!R.Pipeline.Ok)
       return R;
     R.TransformedIR = printModule(*M);
@@ -396,8 +397,8 @@ TEST(Expansion, InterleavedLayoutRejectsRecast) {
       CompilationSession(*M).compileLoop(Candidates.front(), Opts);
   EXPECT_FALSE(PR.Ok);
   bool FoundRecastError = false;
-  for (const std::string &E : PR.Errors)
-    if (E.find("recast") != std::string::npos)
+  for (const Diagnostic &D : PR.Diags)
+    if (D.isError() && D.Message.find("recast") != std::string::npos)
       FoundRecastError = true;
   EXPECT_TRUE(FoundRecastError);
 }

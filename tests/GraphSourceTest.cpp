@@ -19,6 +19,8 @@
 #include "interp/Interp.h"
 #include "profile/DepProfiler.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 using namespace gdse;
@@ -138,7 +140,7 @@ TEST(GraphIO, ExternalGraphDrivesPipeline) {
   Opts.Source = GraphSource::External;
   Opts.ExternalGraph = &Loaded;
   PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front(), Opts);
-  ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
+  ASSERT_TRUE(PR.Ok) << firstError(PR);
   // The commutative tier claims the `check` reduction regardless of graph
   // source (it is a static proof), so the loop is DOALL here just as it is
   // on the profile-driven path.
@@ -257,7 +259,7 @@ TEST(StaticDeps, PipelineWithStaticSourceStaysCorrectButSlow) {
   // (it is a static proof, independent of the dependence-graph source).
   Opts.Expansion.CommutativePrivatization = false;
   PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front(), Opts);
-  ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
+  ASSERT_TRUE(PR.Ok) << firstError(PR);
   EXPECT_EQ(PR.Expansion.ExpandedObjects, 0u); // nothing privatizable
   InterpOptions IO;
   IO.NumThreads = 8;

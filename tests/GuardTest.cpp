@@ -30,6 +30,8 @@
 #include "profile/DepProfiler.h"
 #include "support/Diagnostics.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -224,7 +226,7 @@ TEST_P(GuardFault, UpwardsExposedLoad) {
       clearUpwardsExposed(dropCarriedFlow(std::move(True))));
 
   Transformed T = transformWith(UpSrc, Lie);
-  ASSERT_TRUE(T.PR.Ok) << (T.PR.Errors.empty() ? "?" : T.PR.Errors.front());
+  ASSERT_TRUE(T.PR.Ok) << firstError(T.PR);
   ASSERT_TRUE(T.PR.Guard) << "fault injection privatized nothing";
 
   // `int s = buf[0]` at iteration 0 on thread 0 reads its never-written
@@ -266,7 +268,7 @@ TEST_P(GuardFault, LoopCarriedFlow) {
       clearUpwardsExposed(dropCarriedFlow(std::move(True))));
 
   Transformed T = transformWith(CarriedSrc, Lie);
-  ASSERT_TRUE(T.PR.Ok) << (T.PR.Errors.empty() ? "?" : T.PR.Errors.front());
+  ASSERT_TRUE(T.PR.Ok) << firstError(T.PR);
   ASSERT_TRUE(T.PR.Guard) << "fault injection privatized nothing";
 
   // DOALL chunking puts iterations 0 and 1 on thread 0: iteration 1's read
@@ -334,7 +336,7 @@ TEST_P(GuardFault, SpanEscape) {
   unsigned LoopId;
   LoopDepGraph True = profiled(SpanSrc, LoopId);
   Transformed T = transformWith(SpanSrc, True);
-  ASSERT_TRUE(T.PR.Ok) << (T.PR.Errors.empty() ? "?" : T.PR.Errors.front());
+  ASSERT_TRUE(T.PR.Ok) << firstError(T.PR);
   ASSERT_TRUE(T.PR.Guard);
 
   // ...whose shared table we locate with a dry run: the heap load whose
@@ -394,7 +396,7 @@ TEST_P(GuardFault, DownwardsExposedStore) {
   LoopDepGraph Lie = clearDownwardsExposed(std::move(True));
 
   Transformed T = transformWith(DownSrc, Lie);
-  ASSERT_TRUE(T.PR.Ok) << (T.PR.Errors.empty() ? "?" : T.PR.Errors.front());
+  ASSERT_TRUE(T.PR.Ok) << firstError(T.PR);
   ASSERT_TRUE(T.PR.Guard) << "fault injection privatized nothing";
 
   // In-loop execution is clean (each iteration writes before reading); the
@@ -424,7 +426,7 @@ TEST_P(GuardFault, NonCommutativeTouchOnForeignRead) {
   unsigned LoopId;
   LoopDepGraph True = profiled(SpanSrc, LoopId);
   Transformed T = transformWith(SpanSrc, True);
-  ASSERT_TRUE(T.PR.Ok) << (T.PR.Errors.empty() ? "?" : T.PR.Errors.front());
+  ASSERT_TRUE(T.PR.Ok) << firstError(T.PR);
   ASSERT_TRUE(T.PR.Guard);
   // The tentpole contract: acc's reduction really is claimed commutative.
   ASSERT_FALSE(T.PR.Guard->CommClassOf.empty());
@@ -474,7 +476,7 @@ TEST_P(GuardFault, NonCommutativeTouchOnForeignWrite) {
   unsigned LoopId;
   LoopDepGraph True = profiled(SpanSrc, LoopId);
   Transformed T = transformWith(SpanSrc, True);
-  ASSERT_TRUE(T.PR.Ok) << (T.PR.Errors.empty() ? "?" : T.PR.Errors.front());
+  ASSERT_TRUE(T.PR.Ok) << firstError(T.PR);
   ASSERT_TRUE(T.PR.Guard);
   ASSERT_FALSE(T.PR.Guard->RegionSites.empty());
 
@@ -586,7 +588,7 @@ TEST_P(GuardFault, WitnessPrunedCleanRunBitIdentical) {
   Opts.ExternalGraph = &True;
   Pruned.PR = CompilationSession(*Pruned.M).compileLoop(Pruned.LoopId, Opts);
   ASSERT_TRUE(Pruned.PR.Ok)
-      << (Pruned.PR.Errors.empty() ? "?" : Pruned.PR.Errors.front());
+      << firstError(Pruned.PR);
   EXPECT_TRUE(!Pruned.PR.Guard || Pruned.PR.Guard->empty());
   EXPECT_GT(Pruned.PR.Expansion.GuardAccessesElided, 0u);
 

@@ -21,6 +21,8 @@
 #include "frontend/Parser.h"
 #include "workloads/Workloads.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 using namespace gdse;
@@ -55,7 +57,7 @@ TEST_P(ProfilerOracle, EveryLoopMatchesReference) {
     EXPECT_EQ(G->DynCount, Ref.Graph.DynCount) << W->Name << " loop " << Loop;
     PipelineResult R = S.compileLoop(Loop);
     ASSERT_TRUE(R.Ok) << W->Name << ": "
-                      << (R.Errors.empty() ? "?" : R.Errors.front());
+                      << firstError(R);
   }
 }
 

@@ -24,6 +24,8 @@
 #include "ir/IRPrinter.h"
 #include "support/Support.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <set>
@@ -304,7 +306,7 @@ TEST_P(PipelineProperty, TransformedEquivalentForAllConfigs) {
     PipelineResult R =
         CompilationSession(*P2.M).compileLoop(Cands.front(), Opts);
     ASSERT_TRUE(R.Ok) << C.Name << ": "
-                      << (R.Errors.empty() ? "?" : R.Errors.front());
+                      << firstError(R);
     for (int N : {1, 3, 8}) {
       InterpOptions IO;
       IO.NumThreads = N;
@@ -375,7 +377,7 @@ TEST_P(WitnessProperty, ProvenPrivateNeverViolates) {
           Proven->insert(C.Members.begin(), C.Members.end());
     }
     PipelineResult R = S.compileLoop(Cands.front(), Opts);
-    ASSERT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
+    ASSERT_TRUE(R.Ok) << firstError(R);
     InterpOptions IO;
     IO.NumThreads = 4;
     IO.Guard = GuardMode::Check;
@@ -521,7 +523,7 @@ TEST_P(ReductionProperty, MergeOrderDeterministic) {
   std::vector<unsigned> Cands = CompilationSession(*P2.M).candidateLoops();
   ASSERT_EQ(Cands.size(), 1u);
   PipelineResult R = CompilationSession(*P2.M).compileLoop(Cands.front());
-  ASSERT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
+  ASSERT_TRUE(R.Ok) << firstError(R);
   ASSERT_GE(R.Expansion.CommutativeClasses, 1u);
   EXPECT_EQ(R.Plan.Kind, ParallelKind::DOALL);
 
@@ -614,7 +616,7 @@ TEST_P(ResilienceProperty, RandomFaultsNeverCorruptOrHang) {
   std::vector<unsigned> Cands = CompilationSession(*P2.M).candidateLoops();
   ASSERT_EQ(Cands.size(), 1u);
   PipelineResult R = CompilationSession(*P2.M).compileLoop(Cands.front());
-  ASSERT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
+  ASSERT_TRUE(R.Ok) << firstError(R);
 
   // One injection point per seed, cycling through all four; probabilistic
   // rules get the seed so every run of this test reproduces exactly.

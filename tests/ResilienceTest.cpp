@@ -22,6 +22,8 @@
 #include "support/Diagnostics.h"
 #include "support/Resilience.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -155,7 +157,7 @@ std::unique_ptr<Module> transformed(const char *Src, ParallelKind Expect) {
     Opts.Source = GraphSource::Static;
   }
   PipelineResult R = CompilationSession(*PR.M).compileLoop(Cands.front(), Opts);
-  EXPECT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
+  EXPECT_TRUE(R.Ok) << firstError(R);
   EXPECT_EQ(R.Plan.Kind, Expect);
   if (Expect == ParallelKind::DOACROSS)
     EXPECT_GE(R.Plan.OrderedRegions, 1u);
@@ -423,7 +425,7 @@ int main() {
   PipelineOptions Opts;
   Opts.Expansion.GuardPruning = false; // keep the full plan armed
   PipelineResult R = CompilationSession(*P2.M).compileLoop(Cands.front(), Opts);
-  ASSERT_TRUE(R.Ok) << (R.Errors.empty() ? "?" : R.Errors.front());
+  ASSERT_TRUE(R.Ok) << firstError(R);
   ASSERT_NE(R.Guard, nullptr);
 
   InterpOptions IO;

@@ -16,6 +16,8 @@
 #include "interp/Interp.h"
 #include "ir/IRPrinter.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 using namespace gdse;
@@ -29,7 +31,7 @@ std::string transformed(const std::string &Src,
   std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
   EXPECT_EQ(Cands.size(), 1u);
   PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front(), Opts);
-  EXPECT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
+  EXPECT_TRUE(PR.Ok) << firstError(PR);
   if (!PR.Ok)
     return "";
   return printModule(*M);
@@ -343,7 +345,7 @@ void expectParallelEquivalent(const char *Src, unsigned Threads) {
   std::unique_ptr<Module> MT = parseMiniCOrDie(Src, "xform");
   unsigned Loop = CompilationSession(*MT).candidateLoops().front();
   PipelineResult PR = CompilationSession(*MT).compileLoop(Loop);
-  ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
+  ASSERT_TRUE(PR.Ok) << firstError(PR);
   InterpOptions Opt;
   Opt.NumThreads = Threads;
   Interp IT(*MT, Opt);
@@ -528,7 +530,7 @@ TEST(Promotion, RecursiveStructPromotion) {
   std::unique_ptr<Module> MT = parseMiniCOrDie(Src, "xform");
   unsigned Loop = CompilationSession(*MT).candidateLoops().front();
   PipelineResult PR = CompilationSession(*MT).compileLoop(Loop);
-  ASSERT_TRUE(PR.Ok) << (PR.Errors.empty() ? "?" : PR.Errors.front());
+  ASSERT_TRUE(PR.Ok) << firstError(PR);
   InterpOptions Opt;
   Opt.NumThreads = 4;
   Interp IT(*MT, Opt);

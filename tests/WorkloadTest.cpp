@@ -17,6 +17,8 @@
 #include "interp/Interp.h"
 #include "workloads/Workloads.h"
 
+#include "TestUtil.h"
+
 #include <gtest/gtest.h>
 
 using namespace gdse;
@@ -54,7 +56,7 @@ TEST_P(WorkloadEquivalence, TransformedMatchesOriginal) {
   for (unsigned LoopId : Candidates) {
     PipelineResult PR = CompilationSession(*M).compileLoop(LoopId);
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
-                       << (PR.Errors.empty() ? "?" : PR.Errors.front());
+                       << firstError(PR);
     EXPECT_TRUE(PR.Plan.Parallelized) << W->Name;
     EXPECT_EQ(PR.Plan.Kind, W->ExpectedKind) << W->Name;
     EXPECT_GE(PR.Expansion.ExpandedObjects, 1u) << W->Name;
@@ -118,7 +120,7 @@ TEST_P(WorkloadRtPriv, RtPrivMatchesOriginal) {
   for (unsigned LoopId : Candidates) {
     PipelineResult PR = CompilationSession(*M).compileLoop(LoopId, Opts);
     ASSERT_TRUE(PR.Ok) << W->Name << ": "
-                       << (PR.Errors.empty() ? "?" : PR.Errors.front());
+                       << firstError(PR);
   }
   InterpOptions IO;
   IO.NumThreads = 4;
