@@ -303,11 +303,12 @@ RunResult gdse::bench::executeOnEngine(PreparedProgram &P, ExecEngine Engine,
                           SimulateParallel);
 }
 
-RunResult gdse::bench::executeResilient(PreparedProgram &P, ExecEngine Engine,
-                                        int Threads,
-                                        const ResilienceOptions &Resilience,
-                                        GuardMode Guard,
-                                        bool SimulateParallel) {
+namespace {
+
+/// Runs \p P without recording it in the JSON capture.
+RunResult runProgram(PreparedProgram &P, ExecEngine Engine, int Threads,
+                     const ResilienceOptions &Resilience, GuardMode Guard,
+                     bool SimulateParallel) {
   InterpOptions IO;
   IO.NumThreads = Threads;
   IO.SimulateParallel = SimulateParallel;
@@ -329,24 +330,60 @@ RunResult gdse::bench::executeResilient(PreparedProgram &P, ExecEngine Engine,
     IO.Precompiled = P.Bytecode;
   }
   Interp I(*P.M, IO);
-  RunResult R = I.run();
+  return I.run();
+}
 
+/// Appends \p R, a run of \p P, to the JSON capture's run list.
+void recordRun(const PreparedProgram &P, ExecEngine Engine, int Threads,
+               GuardMode Guard, bool SimulateParallel, const RunResult &R) {
   JsonSink &S = jsonSink();
-  if (S.Enabled) {
-    JsonSink::Rec Rec{P.Info ? P.Info->Name : "?", engineName(IO.Engine),
-                      Threads, SimulateParallel, R.Trapped, R.WorkCycles,
-                      R.SimTime, R.HostNanos, R.PeakMemoryBytes,
-                      guardModeName(Guard), /*Degradations=*/0,
-                      /*WatchdogFires=*/0, /*GuardLoops=*/{}};
-    for (const auto &[LoopId, L] : R.Loops) {
-      Rec.Degradations += L.Degradations;
-      Rec.WatchdogFires += L.WatchdogFires;
-      if (L.GuardedInvocations || L.GuardViolations || L.GuardFallbacks)
-        Rec.GuardLoops.push_back({LoopId, L.GuardedInvocations, L.GuardChecks,
-                                  L.GuardViolations, L.GuardFallbacks});
-    }
-    S.Recs.push_back(std::move(Rec));
+  if (!S.Enabled)
+    return;
+  JsonSink::Rec Rec{P.Info ? P.Info->Name : "?", engineName(Engine),
+                    Threads, SimulateParallel, R.Trapped, R.WorkCycles,
+                    R.SimTime, R.HostNanos, R.PeakMemoryBytes,
+                    guardModeName(Guard), /*Degradations=*/0,
+                    /*WatchdogFires=*/0, /*GuardLoops=*/{}};
+  for (const auto &[LoopId, L] : R.Loops) {
+    Rec.Degradations += L.Degradations;
+    Rec.WatchdogFires += L.WatchdogFires;
+    if (L.GuardedInvocations || L.GuardViolations || L.GuardFallbacks)
+      Rec.GuardLoops.push_back({LoopId, L.GuardedInvocations, L.GuardChecks,
+                                L.GuardViolations, L.GuardFallbacks});
   }
+  S.Recs.push_back(std::move(Rec));
+}
+
+} // namespace
+
+RunResult gdse::bench::executeResilient(PreparedProgram &P, ExecEngine Engine,
+                                        int Threads,
+                                        const ResilienceOptions &Resilience,
+                                        GuardMode Guard,
+                                        bool SimulateParallel) {
+  RunResult R =
+      runProgram(P, Engine, Threads, Resilience, Guard, SimulateParallel);
+  recordRun(P, Engine, Threads, Guard, SimulateParallel, R);
+  return R;
+}
+
+SerialRun gdse::bench::runOriginal(const WorkloadInfo &W, ExecEngine Engine,
+                                   GuardMode Guard) {
+  SerialRun S;
+  S.Orig = prepareOriginal(W);
+  S.Engine = Engine;
+  S.Guard = Guard;
+  S.R = runProgram(S.Orig, Engine, 1, ResilienceOptions(), Guard,
+                   /*SimulateParallel=*/false);
+  return S;
+}
+
+SerialRun gdse::bench::runOriginal(const WorkloadInfo &W) {
+  return runOriginal(W, engineFromEnv(), guardModeFromEnv());
+}
+
+const RunResult &SerialRun::use() {
+  recordRun(Orig, Engine, 1, Guard, /*SimulateParallel=*/false, R);
   return R;
 }
 

@@ -137,6 +137,26 @@ RunResult executeResilient(PreparedProgram &P, ExecEngine Engine, int Threads,
                            GuardMode Guard = GuardMode::Off,
                            bool SimulateParallel = true);
 
+/// A workload's original program run once, sequentially on one thread —
+/// the serial baseline a figure compares every core count or configuration
+/// against. Each use() re-emits the run's JSON record, so a capture lists
+/// the same records as running the original again for every cell would.
+struct SerialRun {
+  PreparedProgram Orig;
+  RunResult R;
+  ExecEngine Engine = ExecEngine::Bytecode;
+  GuardMode Guard = GuardMode::Off;
+  /// The run, after recording this use in the JSON capture.
+  const RunResult &use();
+};
+
+/// Parses and runs \p W's original program (recording nothing until use()):
+/// on engineFromEnv() under guardModeFromEnv(), as execute() would, or on an
+/// explicit engine and guard mode.
+SerialRun runOriginal(const WorkloadInfo &W);
+SerialRun runOriginal(const WorkloadInfo &W, ExecEngine Engine,
+                      GuardMode Guard);
+
 /// Sum of SimTime over the program's candidate loops.
 uint64_t loopSimTime(const RunResult &R, const std::vector<unsigned> &LoopIds);
 /// Sum of WorkCycles over the program's candidate loops.

@@ -107,32 +107,32 @@ void printRatioTable(const std::string &Title, const std::vector<int> &Ns,
 }
 
 /// One simulated data point: \p Xf at N cores against the original
-/// program's serial run (kept in Serial for further contrasts).
+/// program's serial run.
 struct SimPoint {
   bool Ok = false;
   double Loop = 0, Total = 0;
-  RunResult Serial;
 };
 
-/// Runs one simulated data point, recording a failure when \p Xf did not
-/// compile, a run trapped, or the outputs differ.
-SimPoint simulatedSpeedup(const WorkloadInfo &W, PreparedProgram &Xf, int N,
+/// Runs one simulated data point against \p Base, the original's serial
+/// run, recording a failure when \p Xf did not compile, a run trapped, or
+/// the outputs differ.
+SimPoint simulatedSpeedup(SerialRun &Base, PreparedProgram &Xf, int N,
                           Failures &Fs) {
   SimPoint S;
-  PreparedProgram Orig = prepareOriginal(W);
-  S.Serial = execute(Orig, 1, /*SimulateParallel=*/false);
+  const RunResult &RO = Base.use();
+  const char *Name = Base.Orig.Info->Name;
   if (!Xf.Ok) {
-    Fs.push_back({W.Name, Xf.Error});
+    Fs.push_back({Name, Xf.Error});
     return S;
   }
   RunResult RT = execute(Xf, N);
-  if (!S.Serial.ok() || !RT.ok() || S.Serial.Output != RT.Output) {
-    Fs.push_back({W.Name, "run failed or output mismatch"});
+  if (!RO.ok() || !RT.ok() || RO.Output != RT.Output) {
+    Fs.push_back({Name, "run failed or output mismatch"});
     return S;
   }
-  S.Loop = ratio(loopSimTime(S.Serial, Orig.LoopIds),
+  S.Loop = ratio(loopSimTime(RO, Base.Orig.LoopIds),
                  loopSimTime(RT, Xf.LoopIds));
-  S.Total = ratio(S.Serial.SimTime, RT.SimTime);
+  S.Total = ratio(RO.SimTime, RT.SimTime);
   S.Ok = true;
   return S;
 }
@@ -156,11 +156,9 @@ void measuredSpeedups(
   for (const WorkloadInfo &W : Ws) {
     RatioRow &Row = Rows.emplace_back();
     Row.Name = W.Name;
+    SerialRun Base = runOriginal(W, ExecEngine::Bytecode, GuardMode::Off);
     for (int N : HostThreads) {
-      PreparedProgram Orig = prepareOriginal(W);
-      RunResult RO = executeOnEngine(Orig, ExecEngine::Bytecode, 1,
-                                     GuardMode::Off,
-                                     /*SimulateParallel=*/false);
+      const RunResult &RO = Base.use();
       PreparedProgram &Xf = preparedForAll(W, PipelineOptions());
       if (!Xf.Ok) {
         Fs.push_back({W.Name, Xf.Error});
@@ -344,10 +342,10 @@ void emitPrecisionLadder(const WorkloadInfo &W) {
 /// when the configuration is rejected, cannot parallelize or runs wrong. A
 /// parallelized program that traps or prints different output is a
 /// miscompile, so it is also recorded in \p Fs under \p Config.
-double speedupFor(const WorkloadInfo &W, const PipelineOptions &Opts,
-                  const char *Config, std::string &Note, Failures &Fs) {
-  PreparedProgram Orig = prepareOriginal(W);
-  RunResult RO = execute(Orig, 1, /*SimulateParallel=*/false);
+double speedupFor(const WorkloadInfo &W, SerialRun &Base,
+                  const PipelineOptions &Opts, const char *Config,
+                  std::string &Note, Failures &Fs) {
+  const RunResult &RO = Base.use();
   PreparedProgram Xf = prepareTransformed(W, Opts);
   if (!Xf.Ok) {
     Note = Xf.Error;
@@ -366,7 +364,8 @@ double speedupFor(const WorkloadInfo &W, const PipelineOptions &Opts,
     Fs.push_back({W.Name, std::string(Config) + ": " + Note});
     return 0.0;
   }
-  return ratio(loopSimTime(RO, Orig.LoopIds), loopSimTime(RT, Xf.LoopIds));
+  return ratio(loopSimTime(RO, Base.Orig.LoopIds),
+               loopSimTime(RT, Xf.LoopIds));
 }
 
 /// The paper justifies its profiling-based workflow twice:
@@ -403,9 +402,10 @@ Failures fig7(const FigureFlags &) {
   Opts[3].Method = PrivatizationMethod::None;
   for (const WorkloadInfo &W : allWorkloads()) {
     std::string Cells[4];
+    SerialRun Base = runOriginal(W);
     for (int I = 0; I != 4; ++I) {
       std::string Note;
-      double V = speedupFor(W, Opts[I], Configs[I], Note, Fs);
+      double V = speedupFor(W, Base, Opts[I], Configs[I], Note, Fs);
       Cells[I] = V > 0 ? formatString("%.2fx", V)
                        : (Note.empty() || I == 0 ? "-" : Note);
     }
@@ -471,11 +471,11 @@ Failures fig8(const FigureFlags &) {
 }
 
 /// Single-core work-cycle slowdown of \p W transformed under \p Opts over
-/// the original; sets \p Error on a failed transform, trap or mismatch.
-double measureSlowdown(const WorkloadInfo &W, const PipelineOptions &Opts,
-                       std::string &Error) {
-  PreparedProgram Orig = prepareOriginal(W);
-  RunResult RO = execute(Orig, 1, /*SimulateParallel=*/false);
+/// \p Base, the original's serial run; sets \p Error on a failed
+/// transform, trap or mismatch.
+double measureSlowdown(const WorkloadInfo &W, SerialRun &Base,
+                       const PipelineOptions &Opts, std::string &Error) {
+  const RunResult &RO = Base.use();
   PreparedProgram Xf = prepareTransformed(W, Opts);
   if (!Xf.Ok) {
     Error = Xf.Error;
@@ -513,8 +513,10 @@ Failures fig9(const FigureFlags &) {
   std::vector<double> RawAll, OptAll;
   for (const WorkloadInfo &W : allWorkloads()) {
     std::string Error;
-    double SlowdownRaw = measureSlowdown(W, Raw, Error);
-    double SlowdownOpt = Error.empty() ? measureSlowdown(W, Opt, Error) : 0;
+    SerialRun Base = runOriginal(W);
+    double SlowdownRaw = measureSlowdown(W, Base, Raw, Error);
+    double SlowdownOpt =
+        Error.empty() ? measureSlowdown(W, Base, Opt, Error) : 0;
     if (!Error.empty()) {
       Fs.push_back({W.Name, Error});
       continue;
@@ -597,9 +599,10 @@ Failures fig11(const FigureFlags &Flags) {
   std::vector<RatioRow> Loop(Ws.size()), Total(Ws.size());
   for (size_t I = 0; I != Ws.size(); ++I) {
     Loop[I].Name = Total[I].Name = Ws[I].Name;
+    SerialRun Base = runOriginal(Ws[I]);
     for (int N : Cores) {
       SimPoint S = simulatedSpeedup(
-          Ws[I], preparedForAll(Ws[I], PipelineOptions()), N, Fs);
+          Base, preparedForAll(Ws[I], PipelineOptions()), N, Fs);
       if (S.Ok) {
         Loop[I].At[N] = S.Loop;
         Total[I].At[N] = S.Total;
@@ -705,9 +708,10 @@ Failures fig13(const FigureFlags &) {
   Opts.Method = PrivatizationMethod::Runtime;
   for (const WorkloadInfo &W : allWorkloads()) {
     std::printf("%-15s", W.Name);
+    SerialRun Base = runOriginal(W);
     for (int N : Cores)
       std::printf(" %8.2f",
-                  simulatedSpeedup(W, preparedForAll(W, Opts), N, Fs).Loop);
+                  simulatedSpeedup(Base, preparedForAll(W, Opts), N, Fs).Loop);
     std::printf("\n");
   }
   std::printf("\nPaper: nearly no speedup for most benchmarks (compare with "
@@ -730,10 +734,10 @@ Failures fig14(const FigureFlags &) {
   Opts[1].Method = PrivatizationMethod::Runtime;
   for (const WorkloadInfo &W : allWorkloads()) {
     double Multiple[2][2] = {{0, 0}, {0, 0}}; // [runtime?][8 cores?]
+    SerialRun Base = runOriginal(W);
     for (int N : {4, 8})
       for (int Rt : {0, 1}) {
-        PreparedProgram Orig = prepareOriginal(W);
-        RunResult RO = execute(Orig, 1, /*SimulateParallel=*/false);
+        const RunResult &RO = Base.use();
         PreparedProgram &Xf = preparedForAll(W, Opts[Rt]);
         if (!Xf.Ok) {
           Fs.push_back({W.Name, Xf.Error});
@@ -773,9 +777,9 @@ Failures ablationLayout(const FigureFlags &) {
   std::printf("%-15s | %-22s | %-40s\n", "Benchmark", "bonded", "interleaved");
   for (const WorkloadInfo &W : allWorkloads()) {
     std::string Cell[2];
+    SerialRun Base = runOriginal(W);
     for (int Interleaved : {0, 1}) {
-      PreparedProgram Orig = prepareOriginal(W);
-      RunResult RO = execute(Orig, 1, /*SimulateParallel=*/false);
+      const RunResult &RO = Base.use();
       PipelineOptions Opts;
       Opts.Expansion.Layout =
           Interleaved ? LayoutMode::Interleaved : LayoutMode::Bonded;
@@ -832,9 +836,9 @@ Failures ablationSpanOpts(const FigureFlags &) {
   for (const WorkloadInfo &W : allWorkloads()) {
     std::printf("%-15s", W.Name);
     Promoted += formatString("%-15s", W.Name);
+    SerialRun Base = runOriginal(W);
     for (const Config &C : Configs) {
-      PreparedProgram Orig = prepareOriginal(W);
-      RunResult RO = execute(Orig, 1, /*SimulateParallel=*/false);
+      const RunResult &RO = Base.use();
       PipelineOptions Opts;
       Opts.Expansion.SelectivePromotion = C.Selective;
       Opts.Expansion.SpanConstantPropagation = C.ConstProp;
@@ -990,20 +994,22 @@ Failures reduction(const FigureFlags &Flags) {
     if (expansionTotal(Off, &ExpansionStats::CommutativeClasses))
       Fs.push_back({W.Name, "tier-off program claimed commutative classes"});
     double OffAt4 = 0;
-    if (Xf.Ok && !Classes)
+    if (Xf.Ok && !Classes) {
       Fs.push_back({W.Name, "commutative tier claimed nothing"});
-    else
+    } else {
+      SerialRun Base = runOriginal(W);
       for (int N : Cores) {
-        SimPoint S = simulatedSpeedup(W, Xf, N, Fs);
+        SimPoint S = simulatedSpeedup(Base, Xf, N, Fs);
         if (!S.Ok)
           continue;
         Rows[I].At[N] = S.Total;
         if (!Off.Ok)
           continue;
         RunResult ROff = execute(Off, N);
-        if (N == 4 && ROff.ok() && ROff.Output == S.Serial.Output)
-          OffAt4 = ratio(S.Serial.SimTime, ROff.SimTime);
+        if (N == 4 && ROff.ok() && ROff.Output == Base.R.Output)
+          OffAt4 = ratio(Base.R.SimTime, ROff.SimTime);
       }
+    }
     Rows[I].Name = W.Name;
     Rows[I].Lead = formatString(" %7u", Classes);
     Rows[I].Tail = formatString(" %9.2f", OffAt4);

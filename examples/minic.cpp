@@ -24,7 +24,10 @@
 // of scheduling, so any --jobs value prints byte-identical output (modulo
 // wall-clock readings inside --time-passes). Programs then execute
 // sequentially in file order. --time-passes / --stats print each file's
-// per-pass timing and counter reports to stderr after compilation.
+// per-pass timing and counter reports to stderr after compilation; --stats
+// also prints, after each run, the path every parallel loop's invocations
+// took ("loop 4 paths: threaded 1"), naming why a loop did not run on host
+// threads (ThreadedPath in Interp.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +35,7 @@
 #include "frontend/Parser.h"
 #include "interp/Interp.h"
 #include "ir/IRPrinter.h"
+#include "support/Support.h"
 
 #include <cstdio>
 #include <fstream>
@@ -316,6 +320,19 @@ int main(int argc, char **argv) {
     // recovered — the serial rerun's output is the correct one.)
     if (Guard == GuardMode::Check && !R.Violations.empty())
       return 1;
+    if (Stats)
+      for (const auto &[Id, L] : R.Loops) {
+        std::string Line;
+        for (unsigned C = 0; C != NumThreadedPaths; ++C)
+          if (L.Paths[C])
+            Line += formatString(" %s %llu",
+                                 threadedPathName(static_cast<ThreadedPath>(C)),
+                                 static_cast<unsigned long long>(L.Paths[C]));
+        if (!Line.empty())
+          std::fprintf(stderr, "%s%sloop %u paths:%s\n",
+                       Multi ? P.Path.c_str() : "", Multi ? ": " : "", Id,
+                       Line.c_str());
+      }
     std::fprintf(stderr,
                  "[%llu work cycles, %llu simulated, peak %llu bytes]\n",
                  (unsigned long long)R.WorkCycles,

@@ -292,6 +292,7 @@ static AnalysisStats statsDelta(const AnalysisStats &After,
   D.StaticGraphRuns = After.StaticGraphRuns - Before.StaticGraphRuns;
   D.WitnessRuns = After.WitnessRuns - Before.WitnessRuns;
   D.ClassifyRuns = After.ClassifyRuns - Before.ClassifyRuns;
+  D.BytecodeLowerings = After.BytecodeLowerings - Before.BytecodeLowerings;
   return D;
 }
 

@@ -109,7 +109,7 @@ private:
 
   /// Copy index expression for a plan: tid (int) or 0.
   Expr *copyIndex(bool Private) {
-    return Private ? static_cast<Expr *>(Cx.B.threadId())
+    return Private ? static_cast<Expr *>(Cx.B.threadId(/*Synthesized=*/true))
                    : static_cast<Expr *>(Cx.B.intLit(0));
   }
 
@@ -224,11 +224,13 @@ private:
       // unoptimized configuration keeps the literal Table 2 form with the
       // runtime division.
       ElemOffset = Cx.B.mul(
-          Cx.B.convert(Cx.B.threadId(), Cx.types().getInt64()),
+          Cx.B.convert(Cx.B.threadId(/*Synthesized=*/true),
+                       Cx.types().getInt64()),
           Cx.B.longLit(Lit->getValue() / ElemSize));
     } else {
       ElemOffset = Cx.B.mul(
-          Cx.B.convert(Cx.B.threadId(), Cx.types().getInt64()),
+          Cx.B.convert(Cx.B.threadId(/*Synthesized=*/true),
+                       Cx.types().getInt64()),
           Cx.B.div(Span, Cx.B.longLit(ElemSize)));
     }
     return Cx.B.add(Base, ElemOffset);

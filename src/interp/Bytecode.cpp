@@ -74,6 +74,11 @@ private:
   std::vector<VMValue> Regs;
   std::vector<ScopeEntry> Scopes;
 
+  /// Initial capacities of a host-threaded worker's register file and scope
+  /// stack (see the ForLoop handler).
+  static constexpr size_t WorkerRegReserve = 512;
+  static constexpr size_t WorkerScopeReserve = 16;
+
   uint32_t allocRegs(uint16_t N) {
     uint32_t Base = static_cast<uint32_t>(Regs.size());
     Regs.resize(Base + std::max<uint16_t>(N, 1));
@@ -467,43 +472,51 @@ private:
 
       case BCOp::ForLoop: {
         const BCForMeta &FM = BF.Fors[I.Imm32];
-        // Under the Threads engine, offer the loop driver real host-threaded
-        // execution: each worker gets its own VM (register file, scope
-        // stack) over the shared bytecode and a private copy of this frame.
-        // Fresh zeroed registers are equivalent to the enclosing VM's
-        // because body segments never read registers written outside
-        // themselves (the lowering's per-statement register discipline).
-        // The driver still decides per invocation; ineligible loops run the
-        // simulated serial-order Body below.
-        ThreadLoopHooks Hooks;
-        const ThreadLoopHooks *Host = nullptr;
-        if (S.Opts.Engine == ExecEngine::Threads) {
-          Hooks.FrameBase = FrameBase;
-          Hooks.FrameSize = BF.FrameSize;
-          Hooks.IVInFrame = !FM.IVGlobal;
-          Hooks.MakeWorker = [this, &BF, &FM](ThreadState &WS,
-                                              uint64_t WorkerFrame) {
+        auto Bounds = [&](ExecState::ForBounds &B) {
+          B.IVAddr = FM.IVGlobal ? S.globalAddr(FM.IVGlobal)
+                                 : FrameBase + FM.IVFrameOff;
+          dispatch(BF, FrameBase, RegBase, FM.BoundsStart);
+          VMValue *RR = Regs.data() + RegBase;
+          B.Lo = RR[FM.LoReg].I;
+          B.Hi = RR[FM.HiReg].I;
+          B.Step = RR[FM.StepReg].I;
+        };
+        auto Body = [&] {
+          return dispatch(BF, FrameBase, RegBase, FM.BodyStart);
+        };
+        Flow FL;
+        if (S.Opts.Engine == ExecEngine::Threads &&
+            FM.Kind != ParallelKind::None) {
+          // Offer the loop driver real host-threaded execution: each worker
+          // gets its own VM (register file, scope stack) over the shared
+          // bytecode and a private copy of this frame. Fresh zeroed
+          // registers are equivalent to the enclosing VM's because body
+          // segments never read registers written outside themselves (the
+          // lowering's per-statement register discipline). The worker VM's
+          // register file and scope stack are reserved here, on the calling
+          // thread, so a worker's calls rarely grow them on the host heap.
+          // The driver still decides per invocation; ineligible loops run
+          // the simulated serial-order Body.
+          auto MakeWorker = [this, &BF, &FM](ThreadState &WS,
+                                             uint64_t WorkerFrame) {
             auto VM = std::make_shared<BytecodeVM>(WS, BM);
+            VM->Regs.reserve(WorkerRegReserve);
+            VM->Scopes.reserve(WorkerScopeReserve);
             VM->allocRegs(BF.NumRegs);
             return std::function<Flow()>([VM, &BF, &FM, WorkerFrame] {
               return VM->dispatch(BF, WorkerFrame, 0, FM.BodyStart);
             });
           };
-          Host = &Hooks;
+          ThreadLoopHooks Hooks;
+          Hooks.FrameBase = FrameBase;
+          Hooks.FrameSize = BF.FrameSize;
+          Hooks.IVInFrame = !FM.IVGlobal;
+          Hooks.MakeWorker = MakeWorker;
+          FL = S.runForLoop(FM.LoopId, FM.Kind, FM.IVType, Bounds, Body,
+                            &Hooks);
+        } else {
+          FL = S.runForLoop(FM.LoopId, FM.Kind, FM.IVType, Bounds, Body);
         }
-        Flow FL = S.runForLoop(
-            FM.LoopId, FM.Kind, FM.IVType,
-            [&](ExecState::ForBounds &B) {
-              B.IVAddr = FM.IVGlobal ? S.globalAddr(FM.IVGlobal)
-                                     : FrameBase + FM.IVFrameOff;
-              dispatch(BF, FrameBase, RegBase, FM.BoundsStart);
-              VMValue *RR = Regs.data() + RegBase;
-              B.Lo = RR[FM.LoReg].I;
-              B.Hi = RR[FM.HiReg].I;
-              B.Step = RR[FM.StepReg].I;
-            },
-            [&] { return dispatch(BF, FrameBase, RegBase, FM.BodyStart); },
-            Host);
         R = Regs.data() + RegBase; // body calls may reallocate Regs
         if (FL == Flow::Return || FL == Flow::Halt) {
           Result = FL;

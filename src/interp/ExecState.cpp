@@ -786,49 +786,81 @@ void ThreadState::guardCommit(const GuardPlan *GP, unsigned NumThreads) {
 // Counted loops
 //===----------------------------------------------------------------------===//
 
+const char *gdse::threadedPathName(ThreadedPath P) {
+  switch (P) {
+  case ThreadedPath::Threaded:
+    return "threaded";
+  case ThreadedPath::NotThreadsEngine:
+    return "not-threads-engine";
+  case ThreadedPath::SerialOrder:
+    return "serial-order";
+  case ThreadedPath::RtPriv:
+    return "rtpriv";
+  case ThreadedPath::GuardPlan:
+    return "guard-plan";
+  case ThreadedPath::FallbackGuard:
+    return "fallback-guard";
+  case ThreadedPath::UserTid:
+    return "user-tid";
+  case ThreadedPath::CarriedFrameSlot:
+    return "carried-frame-slot";
+  case ThreadedPath::GlobalIV:
+    return "global-iv";
+  case ThreadedPath::PoolUnavailable:
+    return "pool-unavailable";
+  case ThreadedPath::WatchdogRerun:
+    return "watchdog-rerun";
+  }
+  gdse_unreachable("unknown threaded path");
+}
+
 Flow ThreadState::runForLoop(unsigned LoopId, ParallelKind Kind, Type *IVType,
-                             const std::function<void(ForBounds &)> &EvalBounds,
-                             const std::function<Flow()> &Body,
+                             BoundsFn EvalBounds, BodyFn Body,
                              const ThreadLoopHooks *Host) {
   bool Parallel =
       Opts.SimulateParallel && Kind != ParallelKind::None && !InParallelLoop;
-  if (Parallel && threadedEligible(LoopId, Kind, Host)) {
-    // First rung of the degradation ladder: a dead worker pool (thread
-    // creation failed, or an injected worker-start fault) sends the
-    // invocation down to the simulated serial-order path — bit-identical by
-    // construction — instead of crashing or trapping.
-    if (ThreadPool *Pool = P.loopPoolOrNull())
-      return runForThreaded(LoopId, Kind, IVType, EvalBounds, Body, *Host,
-                            *Pool);
+  if (!Parallel)
+    return runForSerial(LoopId, Kind, IVType, EvalBounds, Body);
+  ThreadedPath Path = threadedEligible(LoopId, Kind, Host);
+  ThreadPool *Pool = nullptr;
+  if (Path == ThreadedPath::Threaded && !(Pool = P.loopPoolOrNull())) {
+    // A dead worker pool (thread creation failed, or an injected
+    // worker-start fault) sends the invocation down to the simulated
+    // serial-order path — bit-identical by construction — instead of
+    // crashing or trapping.
+    Path = ThreadedPath::PoolUnavailable;
     noteDegradation(LoopId, /*Watchdog=*/false,
                     "degrading to the simulated serial-order path: worker "
                     "pool unavailable");
   }
-  if (Parallel)
-    return runForParallel(LoopId, Kind, IVType, EvalBounds, Body);
-  return runForSerial(LoopId, Kind, IVType, EvalBounds, Body);
+  if (Pool) // records its own path: a watchdog may re-run it simulated
+    return runForThreaded(LoopId, Kind, IVType, EvalBounds, Body, *Host,
+                          *Pool);
+  ++Loops[LoopId].Paths[static_cast<unsigned>(Path)];
+  return runForParallel(LoopId, Kind, IVType, EvalBounds, Body);
 }
 
-bool ThreadState::threadedEligible(unsigned LoopId, ParallelKind Kind,
-                                   const ThreadLoopHooks *Host) const {
+ThreadedPath ThreadState::threadedEligible(unsigned LoopId, ParallelKind Kind,
+                                           const ThreadLoopHooks *Host) const {
   // The engine must have offered host execution at all (only the bytecode
-  // engine does, and only under ExecEngine::Threads), and the induction
-  // variable must live in the frame the runner is about to privatize.
-  if (!Host || !Host->MakeWorker || !Host->IVInFrame)
-    return false;
-  if (Opts.Engine != ExecEngine::Threads || Opts.NumThreads < 2)
-    return false;
+  // engine does, and only under ExecEngine::Threads).
+  if (!Host || Opts.Engine != ExecEngine::Threads || Opts.NumThreads < 2)
+    return ThreadedPath::NotThreadsEngine;
+  // The induction variable must live in the frame the runner is about to
+  // privatize.
+  if (!Host->IVInFrame)
+    return ThreadedPath::GlobalIV;
   // An installed observer expects the serial-order event stream; a cycle
   // budget needs a monotonic global cycle counter; an armed guard watch must
   // see every access in serial order. All three force the simulated path.
   // Wall-clock deadlines and byte budgets are order-free and stay
   // threaded-compatible.
   if (Obs || Opts.Resilience.Budget.MaxCycles != 0 || !GuardWatch.empty())
-    return false;
+    return ThreadedPath::SerialOrder;
   const ProgramContext::LoopTraits *T = P.loopTraits(LoopId);
   // Runtime privatization keeps a serial-order shadow map: simulate.
   if (!T || T->UsesRtPriv)
-    return false;
+    return ThreadedPath::RtPriv;
   const unsigned N = static_cast<unsigned>(std::max(1, Opts.NumThreads));
   const GuardPlan *GP = nullptr;
   if (Opts.Guard != GuardMode::Off && N <= 127) {
@@ -839,19 +871,28 @@ bool ThreadState::threadedEligible(unsigned LoopId, ParallelKind Kind,
   // Fallback speculation checkpoints and re-runs serially; the threaded
   // runner only supports check-mode guarding (per-worker shadow merge).
   if (GP && Opts.Guard == GuardMode::Fallback)
-    return false;
+    return ThreadedPath::FallbackGuard;
+  if (Kind != ParallelKind::DOACROSS)
+    return ThreadedPath::Threaded;
   // DOACROSS virtual thread assignment (argmin of the simulated timeline) is
-  // only known after the fact, so bodies that observe __tid, and guard
-  // shadows that stamp it, cannot run on real threads in DOACROSS form.
-  if (Kind == ParallelKind::DOACROSS && (T->UsesTid || GP))
-    return false;
-  return true;
+  // only known after the fact, so guard shadows that stamp it and bodies
+  // that observe a user __tid cannot run on real threads in DOACROSS form.
+  // Expansion's synthesized copy indices are fine: workers index the copies
+  // by worker, which is exclusive to the iteration running on it.
+  if (GP)
+    return ThreadedPath::GuardPlan;
+  if (T->UsesTid)
+    return ThreadedPath::UserTid;
+  // Workers run on private frame copies, merged byte-wise at the join: exact
+  // only when no value crosses iterations or leaves the loop through a slot.
+  if (T->CarriesFrameSlot)
+    return ThreadedPath::CarriedFrameSlot;
+  return ThreadedPath::Threaded;
 }
 
 Flow ThreadState::runForSerial(unsigned LoopId, ParallelKind Kind,
-                               Type *IVType,
-                               const std::function<void(ForBounds &)> &EvalBounds,
-                               const std::function<Flow()> &Body) {
+                               Type *IVType, BoundsFn EvalBounds,
+                               BodyFn Body) {
   LoopStats &LS = Loops[LoopId];
   LS.Kind = Kind;
   ++LS.Invocations;
@@ -907,10 +948,9 @@ Flow ThreadState::runForSerial(unsigned LoopId, ParallelKind Kind,
   return Result;
 }
 
-Flow ThreadState::runForParallel(
-    unsigned LoopId, ParallelKind Kind, Type *IVType,
-    const std::function<void(ForBounds &)> &EvalBounds,
-    const std::function<Flow()> &Body) {
+Flow ThreadState::runForParallel(unsigned LoopId, ParallelKind Kind,
+                                 Type *IVType, BoundsFn EvalBounds,
+                                 BodyFn Body) {
   const unsigned N = static_cast<unsigned>(std::max(1, Opts.NumThreads));
 
   // Guarded execution: look up this loop's plan. Thread ids are stored in an
@@ -1068,7 +1108,7 @@ Flow ThreadState::runForParallel(
       break;
     }
 
-    TL.completeIter(T, W, OrderedEvents);
+    TL.completeIter(T, W, OrderedEvents.data(), OrderedEvents.size());
   }
 
   RecordOrdered = false;

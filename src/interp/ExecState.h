@@ -35,6 +35,7 @@
 #include "interp/Interp.h"
 #include "interp/ProgramContext.h"
 #include "ir/IR.h"
+#include "support/FunctionRef.h"
 
 #include <functional>
 #include <map>
@@ -116,18 +117,19 @@ struct DoacrossSync;
 
 /// How an engine hands the host-threaded loop runner the means to execute
 /// body iterations on worker ThreadStates. Supplied by the bytecode engine's
-/// ForLoop handler (the tree-walker never threads; it stays the pure serial
-/// reference). FrameBase/FrameSize describe the enclosing function frame so
-/// the runner can give each worker a private copy; MakeWorker is called once
-/// per worker with the worker's ThreadState and its frame copy's base, and
-/// returns the thunk that runs one iteration's body segment.
+/// ForLoop handler for parallel loops only (the tree-walker never threads;
+/// it stays the pure serial reference). FrameBase/FrameSize describe the
+/// enclosing function frame so the runner can give each worker a private
+/// copy; MakeWorker is called once per worker, on the calling thread, with
+/// the worker's ThreadState and its frame copy's base, and returns the thunk
+/// that runs one iteration's body segment.
 struct ThreadLoopHooks {
   uint64_t FrameBase = 0;
   uint64_t FrameSize = 0;
   /// False when the induction variable lives in a global (workers would race
   /// on its slot): not eligible for host threading.
   bool IVInFrame = true;
-  std::function<std::function<Flow()>(ThreadState &WS, uint64_t WorkerFrame)>
+  FunctionRef<std::function<Flow()>(ThreadState &WS, uint64_t WorkerFrame)>
       MakeWorker;
 };
 
@@ -439,23 +441,25 @@ struct ThreadState {
     int64_t Step = 0;
   };
 
+  using BoundsFn = FunctionRef<void(ForBounds &)>;
+  using BodyFn = FunctionRef<Flow()>;
+
   /// Runs one `for` statement. \p EvalBounds resolves the induction
   /// variable's address and evaluates init/limit/step (in that order, with
   /// whatever charges the evaluation incurs); \p Body executes one iteration
-  /// and reports its control flow. The driver implements the serial
+  /// and reports its control flow. Both are non-owning references, so a
+  /// loop costs no host allocation. The driver implements the serial
   /// iteration protocol and the DOALL/DOACROSS virtual-multicore timeline
   /// exactly once for both engines. Returns Normal (also for break),
   /// Return, or Halt.
   ///
   /// \p Host, when non-null, offers real host-threaded execution of the
-  /// loop (Threads engine). The driver still decides per invocation: loops
-  /// that are ineligible (observer installed, N < 2, cycle budget active,
-  /// armed guard watch, fallback-mode guard plan, rtpriv bodies, global
-  /// induction variable, tid-sensitive or guarded DOACROSS) take the
-  /// serial-order simulated path, which is bit-identical by construction.
+  /// loop (Threads engine). The driver still decides per invocation and
+  /// counts the decision in LoopStats::Paths: ineligible loops (see
+  /// ThreadedPath) take the serial-order simulated path, which is
+  /// bit-identical by construction.
   Flow runForLoop(unsigned LoopId, ParallelKind Kind, Type *IVType,
-                  const std::function<void(ForBounds &)> &EvalBounds,
-                  const std::function<Flow()> &Body,
+                  BoundsFn EvalBounds, BodyFn Body,
                   const ThreadLoopHooks *Host = nullptr);
 
   //===------------------------------------------------------------------===//
@@ -467,11 +471,9 @@ struct ThreadState {
 
 private:
   Flow runForSerial(unsigned LoopId, ParallelKind Kind, Type *IVType,
-                    const std::function<void(ForBounds &)> &EvalBounds,
-                    const std::function<Flow()> &Body);
+                    BoundsFn EvalBounds, BodyFn Body);
   Flow runForParallel(unsigned LoopId, ParallelKind Kind, Type *IVType,
-                      const std::function<void(ForBounds &)> &EvalBounds,
-                      const std::function<Flow()> &Body);
+                      BoundsFn EvalBounds, BodyFn Body);
   /// The real host-threaded runner (ThreadedLoop.cpp). Bit-identical virtual
   /// metrics to runForParallel on every eligible loop. \p Body is the serial
   /// body thunk, kept for the watchdog recovery path (a wedged DOACROSS
@@ -479,12 +481,13 @@ private:
   /// already-materialized worker pool (runForLoop resolved it; a null pool
   /// degrades before ever reaching here).
   Flow runForThreaded(unsigned LoopId, ParallelKind Kind, Type *IVType,
-                      const std::function<void(ForBounds &)> &EvalBounds,
-                      const std::function<Flow()> &Body,
+                      BoundsFn EvalBounds, BodyFn Body,
                       const ThreadLoopHooks &Host, ThreadPool &Pool);
-  /// True when this invocation can run on real host threads.
-  bool threadedEligible(unsigned LoopId, ParallelKind Kind,
-                        const ThreadLoopHooks *Host) const;
+  /// ThreadedPath::Threaded when this invocation can run on real host
+  /// threads, otherwise the first reason it cannot (never PoolUnavailable:
+  /// runForLoop learns that only when it asks for the pool).
+  ThreadedPath threadedEligible(unsigned LoopId, ParallelKind Kind,
+                                const ThreadLoopHooks *Host) const;
 
   // Guarded-execution internals (ExecState.cpp). ThreadedLoop.cpp reuses
   // guardSetupRegions/guardCommit and the merge helpers below.

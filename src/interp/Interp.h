@@ -142,6 +142,28 @@ struct InterpOptions {
   ResilienceOptions Resilience;
 };
 
+/// Which path one invocation of a parallel loop took, and for each that did
+/// not run on host threads, why (ThreadState::threadedEligible). Every
+/// parallel invocation under SimulateParallel records exactly one code.
+enum class ThreadedPath : uint8_t {
+  Threaded,          ///< ran on host worker threads
+  NotThreadsEngine,  ///< not the threads engine (or one thread)
+  SerialOrder,       ///< observer, cycle budget or armed guard watch
+  RtPriv,            ///< the body calls rtpriv_ptr
+  GuardPlan,         ///< a guarded DOACROSS loop
+  FallbackGuard,     ///< a fallback-mode guard plan
+  UserTid,           ///< a DOACROSS body reads a user-written __tid
+  CarriedFrameSlot,  ///< a DOACROSS body carries a frame slot
+  GlobalIV,          ///< the induction variable is a global
+  PoolUnavailable,   ///< eligible, but the worker pool could not start
+  WatchdogRerun,     ///< ran threaded, wedged, re-run simulated (keep last)
+};
+constexpr unsigned NumThreadedPaths =
+    static_cast<unsigned>(ThreadedPath::WatchdogRerun) + 1;
+
+/// Stable lower-case name of \p P ("threaded", "user-tid", ...).
+const char *threadedPathName(ThreadedPath P);
+
 /// Per-loop accounting, keyed by loop id.
 struct LoopStats {
   ParallelKind Kind = ParallelKind::None;
@@ -166,6 +188,8 @@ struct LoopStats {
   /// many of those were DOACROSS watchdog fires specifically.
   uint64_t Degradations = 0;
   uint64_t WatchdogFires = 0;
+  /// Parallel invocations per ThreadedPath code, indexed by the enum.
+  uint64_t Paths[NumThreadedPaths] = {};
 };
 
 struct RunResult {

@@ -15,13 +15,72 @@
 
 using namespace gdse;
 
-thread_local MemDeltaSink *VMMemory::TLSink = nullptr;
+thread_local MemWorker *VMMemory::TLWorker = nullptr;
 
-void VMMemory::setDeltaSink(MemDeltaSink *S) { TLSink = S; }
+MemWorker::MemWorker(unsigned Slot)
+    : Chunk(new uint8_t[ChunkBytes]), Slot(Slot) {
+  Frames.reserve(MaxFrames);
+}
+
+const Allocation *MemWorker::frameContaining(uint64_t Addr) const {
+  for (auto It = Frames.rbegin(); It != Frames.rend(); ++It)
+    if (Addr - It->Base < std::max<uint64_t>(It->Size, 1))
+      return &*It;
+  return nullptr;
+}
 
 VMMemory::~VMMemory() {
   for (auto &[Base, A] : ByBase)
     ::operator delete(reinterpret_cast<void *>(Base));
+}
+
+void VMMemory::noteHolder(const Allocation &A) const {
+  if (!TLWorker || A.Owner != TLWorker->Slot)
+    A.Shared = true;
+}
+
+uint32_t VMMemory::takeGeneration() {
+  uint32_t G = NextGeneration.load(std::memory_order_relaxed);
+  NextGeneration.store(G + 1, std::memory_order_relaxed);
+  return G;
+}
+
+bool VMMemory::chargeBytes(uint64_t Size) {
+  uint64_t Old = CurBytes.fetch_add(Size, std::memory_order_relaxed);
+  if (ByteBudget && Old + Size > ByteBudget) {
+    CurBytes.fetch_sub(Size, std::memory_order_relaxed);
+    return false;
+  }
+  return true;
+}
+
+uint64_t VMMemory::pushFrame(MemWorker &W, uint64_t Size, uint32_t SiteId) {
+  uint64_t HostSize = Size ? Size : 1;
+  uint64_t Off = (W.Top + 15) & ~uint64_t(15);
+  if (W.Frames.size() == W.Frames.capacity() ||
+      HostSize > MemWorker::ChunkBytes - Off)
+    return 0; // full: the caller takes the registry path
+  // Without a budget nothing reads CurBytes while concurrent, and a frame's
+  // +size/-size nets to zero by its pop, so the shared counter is skipped.
+  if (ByteBudget && !chargeBytes(Size))
+    return UINT64_MAX;
+  if (W.GenNext == W.GenEnd) {
+    W.GenNext = NextGeneration.fetch_add(MemWorker::GenBatch,
+                                         std::memory_order_relaxed);
+    W.GenEnd = W.GenNext + MemWorker::GenBatch;
+  }
+  uint64_t Base = W.chunkBase() + Off;
+  std::memset(reinterpret_cast<void *>(Base), 0, HostSize);
+  W.Top = Off + HostSize;
+  Allocation A;
+  A.Base = Base;
+  A.Size = Size;
+  A.Generation = W.GenNext++;
+  A.SiteId = SiteId;
+  A.Kind = AllocKind::Frame;
+  W.Frames.push_back(A);
+  W.Sink.note(static_cast<int64_t>(Size));
+  return Base;
 }
 
 uint64_t VMMemory::allocate(uint64_t Size, AllocKind Kind, uint32_t SiteId) {
@@ -35,29 +94,37 @@ uint64_t VMMemory::allocate(uint64_t Size, AllocKind Kind, uint32_t SiteId) {
   A.Live = true;
 
   if (Concurrent) {
+    if (Kind == AllocKind::Frame && TLWorker) {
+      uint64_t Base = pushFrame(*TLWorker, Size, SiteId);
+      if (Base)
+        return Base == UINT64_MAX ? 0 : Base;
+    }
     std::lock_guard<std::mutex> Lock(Mu);
-    // Budget check under the same lock that owns CurBytes, so concurrent
-    // allocators cannot jointly overshoot the cap.
-    if (ByteBudget && CurBytes + Size > ByteBudget)
+    // Budget check and charge in one step, so concurrent allocators cannot
+    // jointly overshoot the cap.
+    if (!chargeBytes(Size))
       return 0;
     void *P = ::operator new(HostSize, std::nothrow);
-    if (!P)
+    if (!P) {
+      CurBytes.fetch_sub(Size, std::memory_order_relaxed);
       return 0;
+    }
     std::memset(P, 0, HostSize);
     uint64_t Base = reinterpret_cast<uint64_t>(P);
     A.Base = Base;
     A.Generation = NextGeneration++;
+    if (TLWorker)
+      A.Owner = static_cast<uint16_t>(TLWorker->Slot);
     ByBase[Base] = A;
-    CurBytes += Size;
     ++NumLive;
-    if (TLSink)
-      TLSink->note(static_cast<int64_t>(Size));
+    if (TLWorker)
+      TLWorker->Sink.note(static_cast<int64_t>(Size));
     else
-      PeakBytes = std::max(PeakBytes, CurBytes);
+      PeakBytes = std::max(PeakBytes, currentBytes());
     return Base;
   }
 
-  if (ByteBudget && CurBytes + Size > ByteBudget)
+  if (ByteBudget && currentBytes() + Size > ByteBudget)
     return 0;
   void *P = ::operator new(HostSize, std::nothrow);
   if (!P)
@@ -65,28 +132,51 @@ uint64_t VMMemory::allocate(uint64_t Size, AllocKind Kind, uint32_t SiteId) {
   std::memset(P, 0, HostSize);
   uint64_t Base = reinterpret_cast<uint64_t>(P);
   A.Base = Base;
-  A.Generation = NextGeneration++;
+  A.Generation = takeGeneration();
   ByBase[Base] = A;
-  CurBytes += Size;
-  PeakBytes = std::max(PeakBytes, CurBytes);
+  // Serial: no other thread touches the counters, so plain loads and
+  // stores (no locked read-modify-write) on every call frame.
+  CurBytes.store(currentBytes() + Size, std::memory_order_relaxed);
+  PeakBytes = std::max(PeakBytes, currentBytes());
   ++NumLive;
   return Base;
 }
 
 bool VMMemory::deallocate(uint64_t Base) {
   if (Concurrent) {
+    if (MemWorker *W = TLWorker)
+      if (!W->Frames.empty() && W->Frames.back().Base == Base) {
+        // LIFO pop: the arena top falls back to the frame's base.
+        uint64_t Size = W->Frames.back().Size;
+        W->Top = Base - W->chunkBase();
+        W->Frames.pop_back();
+        if (ByteBudget)
+          CurBytes.fetch_sub(Size, std::memory_order_relaxed);
+        W->Sink.note(-static_cast<int64_t>(Size));
+        return true;
+      }
     std::lock_guard<std::mutex> Lock(Mu);
     auto It = ByBase.find(Base);
     if (It == ByBase.end() || !It->second.Live)
       return false;
-    CurBytes -= It->second.Size;
+    Allocation &A = It->second;
+    CurBytes.fetch_sub(A.Size, std::memory_order_relaxed);
     --NumLive;
-    if (TLSink)
-      TLSink->note(-static_cast<int64_t>(It->second.Size));
+    if (TLWorker)
+      TLWorker->Sink.note(-static_cast<int64_t>(A.Size));
+    if (TLWorker && A.Owner == TLWorker->Slot && !A.Shared &&
+        !(Speculating && A.Generation < SpecBeginGeneration)) {
+      // Only this worker's thread ever held the block's Allocation, and it
+      // holds none past the current instruction: delete it now, on the
+      // thread that allocated it, so the host allocator recycles it here.
+      ::operator delete(reinterpret_cast<void *>(Base));
+      ByBase.erase(It);
+      return true;
+    }
     // Defer the host delete and the registry erase: another worker may hold
     // an Allocation pointer from containing()/byBase(), and the host
     // allocator must not recycle the address mid-loop.
-    It->second.Live = false;
+    A.Live = false;
     ConcQuarantine.push_back(Base);
     return true;
   }
@@ -94,7 +184,7 @@ bool VMMemory::deallocate(uint64_t Base) {
   auto It = ByBase.find(Base);
   if (It == ByBase.end() || !It->second.Live)
     return false;
-  CurBytes -= It->second.Size;
+  CurBytes.store(currentBytes() - It->second.Size, std::memory_order_relaxed);
   --NumLive;
   if (LastHit == &It->second)
     LastHit = nullptr;
@@ -123,7 +213,7 @@ uint64_t VMMemory::allocateUntracked(uint64_t Size) {
   Allocation A;
   A.Base = Base;
   A.Size = Size;
-  A.Generation = NextGeneration++;
+  A.Generation = takeGeneration();
   A.SiteId = 0;
   A.Kind = AllocKind::Frame;
   A.Live = true;
@@ -176,6 +266,10 @@ void VMMemory::endConcurrent() {
   LastHit = nullptr;
 }
 
+void VMMemory::attach(MemWorker &W) { TLWorker = &W; }
+
+void VMMemory::detach() { TLWorker = nullptr; }
+
 void VMMemory::beginSpeculation() {
   if (Speculating)
     reportFatalError("VMMemory: nested speculation checkpoint");
@@ -183,7 +277,7 @@ void VMMemory::beginSpeculation() {
     reportFatalError("VMMemory: speculation during concurrent mode");
   Speculating = true;
   SpecBeginGeneration = NextGeneration;
-  SpecCurBytes = CurBytes;
+  SpecCurBytes = currentBytes();
   SpecNumLive = NumLive;
   SpecSnapshot.clear();
   SpecSnapshot.reserve(NumLive);
@@ -235,9 +329,9 @@ void VMMemory::rollbackSpeculation() {
     std::memcpy(reinterpret_cast<void *>(S.Meta.Base), S.Bytes.get(),
                 S.Meta.Size ? S.Meta.Size : 1);
   }
-  CurBytes = SpecCurBytes;
+  CurBytes.store(SpecCurBytes);
   NumLive = SpecNumLive;
-  NextGeneration = SpecBeginGeneration;
+  NextGeneration.store(SpecBeginGeneration);
   SpecQuarantine.clear();
   SpecSnapshot.clear();
   LastHit = nullptr;
@@ -246,6 +340,11 @@ void VMMemory::rollbackSpeculation() {
 
 const Allocation *VMMemory::containing(uint64_t Addr) const {
   if (Concurrent) {
+    // The calling worker's own frames first: an address inside its arena
+    // chunk is answered there, and only by a live frame.
+    if (const MemWorker *W = TLWorker)
+      if (Addr - W->chunkBase() < MemWorker::ChunkBytes)
+        return W->frameContaining(Addr);
     // No last-hit cache here: the slot is written by const lookups and would
     // race between concurrent readers (the bug this mode exists to avoid).
     std::lock_guard<std::mutex> Lock(Mu);
@@ -256,6 +355,7 @@ const Allocation *VMMemory::containing(uint64_t Addr) const {
     const Allocation &A = It->second;
     if (!A.Live || Addr >= A.Base + std::max<uint64_t>(A.Size, 1))
       return nullptr;
+    noteHolder(A);
     return &A;
   }
   // Fast path: repeated accesses into the block we answered last time. The
@@ -280,10 +380,16 @@ const Allocation *VMMemory::containing(uint64_t Addr) const {
 
 const Allocation *VMMemory::byBase(uint64_t Base) const {
   if (Concurrent) {
+    if (const MemWorker *W = TLWorker)
+      if (Base - W->chunkBase() < MemWorker::ChunkBytes) {
+        const Allocation *A = W->frameContaining(Base);
+        return A && A->Base == Base ? A : nullptr;
+      }
     std::lock_guard<std::mutex> Lock(Mu);
     auto It = ByBase.find(Base);
     if (It == ByBase.end() || !It->second.Live)
       return nullptr;
+    noteHolder(It->second);
     return &It->second;
   }
   auto It = ByBase.find(Base);

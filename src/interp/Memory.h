@@ -20,20 +20,32 @@
 ///
 /// The registry has two operating modes. In the default serial mode there is
 /// no locking and containing() uses a single-slot last-hit cache. Inside a
-/// host-threaded parallel loop (ThreadedLoop.cpp) the owning ProgramContext
-/// puts the arena into *concurrent mode*: every registry operation takes a
-/// mutex, the last-hit cache is neither read nor written (it was mutated on
-/// every lookup and would race between concurrent readers), deallocation
-/// defers the host delete and registry erase so Allocation pointers handed
-/// to one thread stay valid while another frees, and peak accounting is
-/// replaced by per-iteration deltas that the post-join merge replays in
-/// serial iteration order — so peakBytes() is bit-identical to a serial run.
+/// host-threaded parallel loop (ThreadedLoop.cpp) the arena is in
+/// *concurrent mode*:
+///  - heap and global registry operations take a mutex, and the last-hit
+///    cache is neither read nor written (it was mutated on every lookup and
+///    would race between concurrent readers);
+///  - each worker pushes its call frames on a private LIFO arena (MemWorker)
+///    carved from a chunk allocated before the workers start, so a call
+///    takes neither the mutex nor the host allocator; the worker's own
+///    lookups check its live frames first, with exact per-frame bounds;
+///  - a block a worker frees is deleted at once when no lookup ever handed
+///    it to another thread (the common case: allocated and freed by one
+///    iteration). Any other freed block is marked dead at once (so lookups
+///    say "not live") but host-deleted and erased only when the arena
+///    leaves concurrent mode, so Allocation pointers other threads hold
+///    stay dereferenceable;
+///  - peak accounting is replaced by per-iteration deltas that the post-join
+///    merge replays in serial iteration order, so peakBytes() is
+///    bit-identical to a serial run (arena frames report +size and -size
+///    like any other block).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GDSE_INTERP_MEMORY_H
 #define GDSE_INTERP_MEMORY_H
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -58,6 +70,13 @@ struct Allocation {
   /// of a host-threaded loop have no serial counterpart, so charging them
   /// would break the bit-identity of peakBytes() with the serial engines.
   bool Untracked = false;
+  /// Concurrent-mode reclamation state (see VMMemory::deallocate): the
+  /// worker slot that allocated the block (NoOwner outside a worker), and
+  /// whether a lookup ever handed it to another thread. Set under the
+  /// registry mutex, by const lookups too.
+  static constexpr uint16_t NoOwner = UINT16_MAX;
+  uint16_t Owner = NoOwner;
+  mutable bool Shared = false;
 };
 
 /// Per-iteration allocation deltas recorded by a worker thread while the
@@ -76,6 +95,41 @@ struct MemDeltaSink {
     Cur = 0;
     MaxPrefix = 0;
   }
+};
+
+/// One host-threaded worker's private allocation state while the arena is
+/// concurrent. Built on the calling thread before the workers start (its
+/// chunk and frame records are allocated there) and attached to the thread
+/// that runs it by VMMemory::attach().
+class MemWorker {
+public:
+  /// \p Slot is the worker's index, unique among the loop's workers.
+  explicit MemWorker(unsigned Slot);
+  MemWorker(MemWorker &&) = default;
+
+  /// The current iteration's allocation deltas (reset by the caller).
+  MemDeltaSink Sink;
+
+private:
+  friend class VMMemory;
+
+  /// Frame arena capacity: bytes of frame storage and live frames. A call
+  /// beyond either falls back to the locked registry path.
+  static constexpr uint64_t ChunkBytes = 32 * 1024;
+  static constexpr size_t MaxFrames = 64;
+  /// Generations are taken from the shared counter in batches of this size.
+  static constexpr uint32_t GenBatch = 64;
+
+  std::unique_ptr<uint8_t[]> Chunk;
+  uint64_t Top = 0;
+  /// Live frames, innermost last (capacity reserved up front, so records
+  /// never move while live).
+  std::vector<Allocation> Frames;
+  uint32_t GenNext = 0, GenEnd = 0;
+  unsigned Slot;
+
+  uint64_t chunkBase() const { return reinterpret_cast<uint64_t>(Chunk.get()); }
+  const Allocation *frameContaining(uint64_t Addr) const;
 };
 
 class VMMemory {
@@ -118,7 +172,9 @@ public:
     return A && Size <= A->Size && Addr - A->Base <= A->Size - Size;
   }
 
-  uint64_t currentBytes() const { return CurBytes; }
+  uint64_t currentBytes() const {
+    return CurBytes.load(std::memory_order_relaxed);
+  }
   uint64_t peakBytes() const { return PeakBytes; }
   uint32_t liveAllocations() const { return NumLive; }
 
@@ -134,22 +190,25 @@ public:
   //===------------------------------------------------------------------===//
 
   /// Enters concurrent mode: registry operations lock, the last-hit cache is
-  /// bypassed, deallocation is quarantined, and peak accounting switches to
-  /// the calling worker's MemDeltaSink (see setDeltaSink). Must not be
-  /// nested. May run *inside* a speculation checkpoint (the watchdog
-  /// recovery path arms one around a threaded DOACROSS attempt);
-  /// endConcurrent() then keeps pre-checkpoint quarantined blocks resident
-  /// so rollbackSpeculation() can resurrect them.
+  /// bypassed, frees of blocks other threads may hold are quarantined, and
+  /// peak accounting switches to the attached worker's MemDeltaSink.
+  /// Must not be nested. May run *inside* a speculation checkpoint (the
+  /// watchdog recovery path arms one around a threaded DOACROSS attempt);
+  /// pre-checkpoint blocks freed while concurrent then stay resident so
+  /// rollbackSpeculation() can resurrect them.
   void beginConcurrent();
   /// Leaves concurrent mode and reclaims quarantined blocks. The caller is
   /// responsible for replaying the workers' deltas (notePeak) first if peak
-  /// accounting is to stay serial-exact.
+  /// accounting is to stay serial-exact, and for having detached every
+  /// worker.
   void endConcurrent();
   bool concurrent() const { return Concurrent; }
 
-  /// Installs the calling thread's delta sink (thread-local; pass null to
-  /// clear). While concurrent, allocate/deallocate report +/-Size to it.
-  static void setDeltaSink(MemDeltaSink *S);
+  /// Attaches \p W (its frame arena and delta sink) to the calling thread,
+  /// which runs that worker's iterations until detach().
+  void attach(MemWorker &W);
+  /// Detaches the calling thread's worker.
+  void detach();
 
   /// Raises the peak high-water mark to \p Peak if higher — the post-join
   /// replay's output.
@@ -213,23 +272,34 @@ private:
   // mode must not touch it at all (reads and writes both race); it is
   // invalidated when the cached allocation is freed.
   mutable const Allocation *LastHit = nullptr;
-  uint64_t CurBytes = 0;
+  /// Atomic because worker frame pushes charge it without Mu when a byte
+  /// budget is set.
+  std::atomic<uint64_t> CurBytes{0};
   uint64_t PeakBytes = 0;
   uint64_t ByteBudget = 0;
-  uint32_t NextGeneration = 1;
+  /// Atomic because worker frame arenas take generation batches without Mu.
+  std::atomic<uint32_t> NextGeneration{1};
   uint32_t NumLive = 0;
 
-  // Concurrent-mode state. The mutex serializes registry structure and byte
-  // counters; block *contents* are the program's own to race (that is what
-  // the expansion transformation exists to prevent, and what the tsan
-  // negative fixture demonstrates when it is absent).
+  // Concurrent-mode state. The mutex serializes registry structure; block
+  // *contents* are the program's own to race (that is what the expansion
+  // transformation exists to prevent, and what the tsan negative fixture
+  // demonstrates when it is absent).
   bool Concurrent = false;
   mutable std::mutex Mu;
-  /// Blocks freed while concurrent: marked dead immediately (so lookups say
-  /// "not live") but host-deleted and erased only at endConcurrent(), so
-  /// Allocation pointers other threads hold stay dereferenceable.
+  /// Blocks freed while concurrent that another thread may still hold: marked
+  /// dead immediately but host-deleted and erased only at endConcurrent().
   std::vector<uint64_t> ConcQuarantine;
-  static thread_local MemDeltaSink *TLSink;
+  static thread_local MemWorker *TLWorker;
+
+  /// Marks \p A shared unless the calling thread is its owning worker.
+  /// Caller holds Mu.
+  void noteHolder(const Allocation &A) const;
+  /// The next generation, in serial mode (no other thread allocates).
+  uint32_t takeGeneration();
+  /// Adds \p Size to CurBytes unless the byte budget would be exceeded.
+  bool chargeBytes(uint64_t Size);
+  uint64_t pushFrame(MemWorker &W, uint64_t Size, uint32_t SiteId);
 };
 
 } // namespace gdse

@@ -59,11 +59,12 @@ struct ParallelTimeline {
   /// \p T. Ordered-region entries later than the region's free time shift
   /// the rest of the iteration (a stall); each region's free time advances
   /// to the (shifted) exit.
-  void completeIter(unsigned T, uint64_t W,
-                    const std::vector<OrderedEvent> &Events) {
+  void completeIter(unsigned T, uint64_t W, const OrderedEvent *Events,
+                    size_t NumEvents) {
     uint64_t StartT = Ready[T];
     uint64_t Shift = 0;
-    for (const OrderedEvent &Ev : Events) {
+    for (size_t I = 0; I != NumEvents; ++I) {
+      const OrderedEvent &Ev = Events[I];
       uint64_t Entry = StartT + Ev.EntryOff + Shift;
       uint64_t &Free = RegionFree[Ev.RegionId];
       if (Free > Entry) {

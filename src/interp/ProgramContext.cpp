@@ -8,6 +8,7 @@
 #include "interp/ProgramContext.h"
 
 #include "ir/AccessInfo.h"
+#include "ir/IRVisitor.h"
 #include "support/Diagnostics.h"
 
 #include <algorithm>
@@ -40,12 +41,14 @@ struct FnFacts {
   bool UsesTid = false;
   bool UsesRtPriv = false;
   std::set<unsigned> RegionIds;
+  std::set<unsigned> LoopIds;
   std::set<const Function *> Callees;
 
   void mergeFrom(const FnFacts &O) {
     UsesTid |= O.UsesTid;
     UsesRtPriv |= O.UsesRtPriv;
     RegionIds.insert(O.RegionIds.begin(), O.RegionIds.end());
+    LoopIds.insert(O.LoopIds.begin(), O.LoopIds.end());
   }
 };
 
@@ -60,7 +63,10 @@ struct TraitsScanner {
       return;
     switch (E->getKind()) {
     case Expr::Kind::ThreadId:
-      F.UsesTid = true;
+      // Expansion's copy indices only select a private copy; the runner may
+      // substitute its worker index (see ThreadIdExpr).
+      if (!cast<ThreadIdExpr>(E)->isSynthesized())
+        F.UsesTid = true;
       return;
     case Expr::Kind::IntLit:
     case Expr::Kind::FloatLit:
@@ -150,6 +156,7 @@ struct TraitsScanner {
     }
     case Stmt::Kind::While: {
       const auto *W = cast<WhileStmt>(S);
+      F.LoopIds.insert(W->getLoopId());
       walkExpr(W->getCond(), F);
       walkStmt(W->getBody(), F);
       return;
@@ -169,6 +176,7 @@ struct TraitsScanner {
       Slot.Callees.insert(Body.Callees.begin(), Body.Callees.end());
       F.mergeFrom(Body);
       F.Callees.insert(Body.Callees.begin(), Body.Callees.end());
+      F.LoopIds.insert(FS->getLoopId());
       return;
     }
     case Stmt::Kind::Return:
@@ -200,11 +208,13 @@ struct TraitsScanner {
             continue; // undefined callee traps at runtime; self is folded
           const FnFacts &CF = It->second;
           size_t Regions = Facts.RegionIds.size();
+          size_t Loops = Facts.LoopIds.size();
           size_t Callees = Facts.Callees.size();
           bool Tid = Facts.UsesTid, Rt = Facts.UsesRtPriv;
           Facts.mergeFrom(CF);
           Facts.Callees.insert(CF.Callees.begin(), CF.Callees.end());
           Changed |= Facts.RegionIds.size() != Regions ||
+                     Facts.LoopIds.size() != Loops ||
                      Facts.Callees.size() != Callees ||
                      Facts.UsesTid != Tid || Facts.UsesRtPriv != Rt;
         }
@@ -212,6 +222,237 @@ struct TraitsScanner {
     }
   }
 };
+
+/// The DOACROSS frame-slot gate. Host-threaded workers run on private copies
+/// of the enclosing frame, and the join merges those copies byte-wise, which
+/// is exact only when no value flows through a frame slot from one iteration
+/// to another or out of the loop. The scan finds, for one loop body:
+///  - the local and parameter slots it writes directly (inner induction
+///    variables included; the loop's own IV is the runner's to manage);
+///  - the slots it may read before writing them on some path through one
+///    iteration (a must-define walk over the structured body);
+///  - whether it takes the address of a local or writes an element of a
+///    frame-local aggregate, either of which lets a write reach the frame
+///    copy behind the gate's back.
+class FrameSlotScan {
+public:
+  std::set<const VarDecl *> Written, Exposed;
+  bool Escapes = false;
+
+  explicit FrameSlotScan(const VarDecl *IV) : IV(IV) {}
+
+  void walkStmt(const Stmt *S, std::set<const VarDecl *> &Def) {
+    if (!S)
+      return;
+    switch (S->getKind()) {
+    case Stmt::Kind::Block:
+      for (const Stmt *Sub : cast<BlockStmt>(S)->getStmts())
+        walkStmt(Sub, Def);
+      return;
+    case Stmt::Kind::ExprStmt:
+      walkExpr(cast<ExprStmt>(S)->getExpr(), Def);
+      return;
+    case Stmt::Kind::Assign: {
+      const auto *A = cast<AssignStmt>(S);
+      walkExpr(A->getRHS(), Def);
+      if (const VarDecl *D = slotOf(A->getLHS())) {
+        write(D, Def);
+        return;
+      }
+      if (frameRoot(A->getLHS()))
+        Escapes = true; // element of a frame-local aggregate
+      walkLoc(A->getLHS(), Def);
+      return;
+    }
+    case Stmt::Kind::If: {
+      const auto *I = cast<IfStmt>(S);
+      walkExpr(I->getCond(), Def);
+      std::set<const VarDecl *> Then = Def, Else = Def;
+      walkStmt(I->getThen(), Then);
+      walkStmt(I->getElse(), Else);
+      for (const VarDecl *D : Then)
+        if (Else.count(D))
+          Def.insert(D);
+      return;
+    }
+    case Stmt::Kind::While: {
+      const auto *W = cast<WhileStmt>(S);
+      walkExpr(W->getCond(), Def);
+      std::set<const VarDecl *> Body = Def; // may run zero times
+      walkStmt(W->getBody(), Body);
+      return;
+    }
+    case Stmt::Kind::For: {
+      const auto *FS = cast<ForStmt>(S);
+      walkExpr(FS->getInit(), Def);
+      walkExpr(FS->getLimit(), Def);
+      walkExpr(FS->getStep(), Def);
+      // The driver stores the IV only when an iteration runs.
+      std::set<const VarDecl *> Body = Def;
+      if (isSlot(FS->getInductionVar()))
+        write(FS->getInductionVar(), Body);
+      walkStmt(FS->getBody(), Body);
+      return;
+    }
+    case Stmt::Kind::Return:
+      walkExpr(cast<ReturnStmt>(S)->getValue(), Def);
+      return;
+    case Stmt::Kind::Break:
+    case Stmt::Kind::Continue:
+      return;
+    case Stmt::Kind::Ordered:
+      walkStmt(cast<OrderedStmt>(S)->getBody(), Def);
+      return;
+    }
+  }
+
+private:
+  const VarDecl *IV;
+
+  static bool isSlot(const VarDecl *D) { return D->isLocal() || D->isParam(); }
+
+  static const VarDecl *slotOf(const Expr *Loc) {
+    const auto *R = dyn_cast<VarRefExpr>(Loc);
+    return R && isSlot(R->getDecl()) ? R->getDecl() : nullptr;
+  }
+
+  /// The frame slot whose storage \p Loc names part of (an element or field
+  /// of a local aggregate), or null when \p Loc goes through a pointer.
+  static const VarDecl *frameRoot(const Expr *Loc) {
+    for (;;) {
+      if (const auto *FA = dyn_cast<FieldAccessExpr>(Loc)) {
+        Loc = FA->getBase();
+      } else if (const auto *AI = dyn_cast<ArrayIndexExpr>(Loc)) {
+        const auto *D = dyn_cast<DecayExpr>(AI->getBase());
+        if (!D)
+          return nullptr;
+        Loc = D->getArrayLocation();
+      } else {
+        return slotOf(Loc);
+      }
+    }
+  }
+
+  void write(const VarDecl *D, std::set<const VarDecl *> &Def) {
+    if (D != IV)
+      Written.insert(D);
+    Def.insert(D);
+  }
+
+  /// The sub-expressions a location evaluates (indices, pointers), without
+  /// counting the location itself as a read or its decayed base as an
+  /// escaping address.
+  void walkLoc(const Expr *Loc, std::set<const VarDecl *> &Def) {
+    if (const auto *FA = dyn_cast<FieldAccessExpr>(Loc)) {
+      walkLoc(FA->getBase(), Def);
+    } else if (const auto *AI = dyn_cast<ArrayIndexExpr>(Loc)) {
+      if (const auto *D = dyn_cast<DecayExpr>(AI->getBase()))
+        walkLoc(D->getArrayLocation(), Def);
+      else
+        walkExpr(AI->getBase(), Def);
+      walkExpr(AI->getIndex(), Def);
+    } else if (const auto *DE = dyn_cast<DerefExpr>(Loc)) {
+      walkExpr(DE->getPtr(), Def);
+    }
+  }
+
+  void walkExpr(const Expr *E, std::set<const VarDecl *> &Def) {
+    if (!E)
+      return;
+    switch (E->getKind()) {
+    case Expr::Kind::Load: {
+      const Expr *Loc = cast<LoadExpr>(E)->getLocation();
+      if (const VarDecl *D = slotOf(Loc)) {
+        if (!Def.count(D))
+          Exposed.insert(D);
+        return;
+      }
+      walkLoc(Loc, Def);
+      return;
+    }
+    case Expr::Kind::AddrOf:
+    case Expr::Kind::Decay: {
+      const Expr *Loc = isa<AddrOfExpr>(E)
+                            ? cast<AddrOfExpr>(E)->getLocation()
+                            : cast<DecayExpr>(E)->getArrayLocation();
+      if (frameRoot(Loc))
+        Escapes = true;
+      walkLoc(Loc, Def);
+      return;
+    }
+    case Expr::Kind::VarRef:
+    case Expr::Kind::Deref:
+    case Expr::Kind::ArrayIndex:
+    case Expr::Kind::FieldAccess:
+      walkLoc(E, Def); // a bare location: only its sub-expressions run
+      return;
+    case Expr::Kind::Unary:
+      walkExpr(cast<UnaryExpr>(E)->getSub(), Def);
+      return;
+    case Expr::Kind::Binary:
+      walkExpr(cast<BinaryExpr>(E)->getLHS(), Def);
+      walkExpr(cast<BinaryExpr>(E)->getRHS(), Def);
+      return;
+    case Expr::Kind::Call:
+      for (const Expr *A : cast<CallExpr>(E)->getArgs())
+        walkExpr(A, Def);
+      return;
+    case Expr::Kind::Cast:
+      walkExpr(cast<CastExpr>(E)->getSub(), Def);
+      return;
+    case Expr::Kind::Cond: {
+      const auto *C = cast<CondExpr>(E);
+      walkExpr(C->getCond(), Def);
+      walkExpr(C->getThen(), Def);
+      walkExpr(C->getElse(), Def);
+      return;
+    }
+    case Expr::Kind::IntLit:
+    case Expr::Kind::FloatLit:
+    case Expr::Kind::SizeofType:
+    case Expr::Kind::ThreadId:
+    case Expr::Kind::NumThreads:
+      return;
+    }
+  }
+};
+
+/// Counts the references to each variable in a statement tree, skipping
+/// one sub-tree (the loop body whose outside is being asked about).
+void countRefs(Stmt *S, const Stmt *Skip,
+               std::map<const VarDecl *, unsigned> &Refs) {
+  if (S == Skip)
+    return;
+  if (auto *FS = dyn_cast<ForStmt>(S))
+    ++Refs[FS->getInductionVar()];
+  forEachTopLevelExpr(S, [&](Expr *E) {
+    walkExpr(E, [&](Expr *Sub) {
+      if (auto *R = dyn_cast<VarRefExpr>(Sub))
+        ++Refs[R->getDecl()];
+    });
+  });
+  forEachChildStmt(S, [&](Stmt *C) { countRefs(C, Skip, Refs); });
+}
+
+/// True when DOACROSS loop \p FS of \p F may carry a value through the
+/// enclosing frame (see FrameSlotScan): it escapes a frame address, or it
+/// writes a slot that it reads before writing or that the function uses
+/// outside the loop.
+bool carriesFrameSlot(Function *F, ForStmt *FS) {
+  FrameSlotScan Scan(FS->getInductionVar());
+  std::set<const VarDecl *> Def;
+  Scan.walkStmt(FS->getBody(), Def);
+  if (Scan.Escapes)
+    return true;
+  if (Scan.Written.empty())
+    return false;
+  std::map<const VarDecl *, unsigned> Outside;
+  countRefs(F->getBody(), FS->getBody(), Outside);
+  for (const VarDecl *D : Scan.Written)
+    if (Scan.Exposed.count(D) || Outside.count(D))
+      return true;
+  return false;
+}
 
 } // namespace
 
@@ -231,6 +472,7 @@ ProgramContext::ProgramContext(Module &M, InterpOptions O)
   }
 
   TraitsScanner Scan;
+  std::set<unsigned> FrameCarriers;
   for (Function *F : M.getFunctions()) {
     if (!F->isDefinition())
       continue;
@@ -238,6 +480,12 @@ ProgramContext::ProgramContext(Module &M, InterpOptions O)
     FnFacts Facts;
     Scan.walkStmt(F->getBody(), Facts);
     Scan.Summaries[F] = std::move(Facts);
+    walkStmts(F->getBody(), [&](Stmt *S) {
+      auto *FS = dyn_cast<ForStmt>(S);
+      if (FS && FS->getParallelKind() == ParallelKind::DOACROSS &&
+          carriesFrameSlot(F, FS))
+        FrameCarriers.insert(FS->getLoopId());
+    });
   }
   // Fold every loop body's direct callees through the call graph.
   Scan.close();
@@ -251,7 +499,9 @@ ProgramContext::ProgramContext(Module &M, InterpOptions O)
     LoopTraits T;
     T.UsesTid = Folded.UsesTid;
     T.UsesRtPriv = Folded.UsesRtPriv;
+    T.CarriesFrameSlot = FrameCarriers.count(LoopId) != 0;
     T.RegionIds.assign(Folded.RegionIds.begin(), Folded.RegionIds.end());
+    T.InnerLoopIds.assign(Folded.LoopIds.begin(), Folded.LoopIds.end());
     LoopTraitsOf.emplace(LoopId, std::move(T));
   }
 

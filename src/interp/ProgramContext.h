@@ -21,10 +21,11 @@
 ///    runs, on the main thread);
 ///  - register-variable classification and precomputed frame layouts;
 ///  - the guard-plan lookup tables built from InterpOptions::GuardPlans;
-///  - static per-loop traits (does the body observe __tid? does it call
-///    rtpriv_ptr? which ordered regions can it execute?) that decide whether
-///    a parallel loop is eligible for real host threading or must take the
-///    serial-order simulated path;
+///  - static per-loop traits (does the body observe a user __tid? does it
+///    call rtpriv_ptr? does a DOACROSS body carry a frame slot? which
+///    ordered regions can it execute?) that decide whether a parallel loop
+///    is eligible for real host threading or must take the serial-order
+///    simulated path;
 ///  - the lazily-created loop worker pool.
 ///
 /// Mutable per-thread machine state (cycles, frames, traps, guard shadows,
@@ -91,16 +92,31 @@ struct ProgramContext {
   /// callees), computed once at construction. The host-threaded runner
   /// consults these to decide eligibility without evaluating anything.
   struct LoopTraits {
-    /// Body (or a callee) evaluates __tid. Safe for DOALL real threading
-    /// (the chunk index *is* the virtual thread id) but not for DOACROSS,
-    /// whose virtual thread assignment is only known after the fact.
+    /// Body (or a callee) evaluates a user-written __tid. Safe for DOALL
+    /// real threading (the chunk index *is* the virtual thread id) but not
+    /// for DOACROSS, whose virtual thread assignment is only known after the
+    /// fact. Expansion's synthesized copy indices do not count: they only
+    /// need an index exclusive to the running iteration, and a DOACROSS
+    /// worker substitutes its own worker index.
     bool UsesTid = false;
     /// Body (or a callee) calls rtpriv_ptr: the runtime-privatization
     /// shadow map is inherently serial-order, so simulate.
     bool UsesRtPriv = false;
+    /// DOACROSS only: the body may carry a value through the enclosing
+    /// frame — it writes a local or parameter slot (other than the IV) that
+    /// it reads before writing on some path through an iteration or that
+    /// the function references outside the loop, or it takes the address
+    /// of a local or writes an element of a frame-local aggregate. Workers
+    /// run on private frame copies whose byte-wise merge is exact only for
+    /// DOALL chunks, so such a loop keeps the simulated path.
+    bool CarriesFrameSlot = false;
     /// Every ordered region the body (or a callee) can enter, for the
     /// DOACROSS cross-iteration ticket protocol.
     std::vector<unsigned> RegionIds;
+    /// Every loop (counted or while) the body or a callee can run, so a
+    /// host-threaded worker's per-loop stats can be set up before it
+    /// starts.
+    std::vector<unsigned> InnerLoopIds;
   };
   std::map<unsigned, LoopTraits> LoopTraitsOf;
 

@@ -29,6 +29,25 @@
 // which is exactly the paper's bet: the expansion transformation has already
 // privatized what iterations would otherwise race on.
 //
+// A worker's CurTid is its worker index — the *slot* tid. Under DOALL it is
+// also the virtual thread (chunk T is thread T). Under DOACROSS the virtual
+// thread is only known from the replayed timeline, but expansion's copy
+// indices (synthesized tids) need no more than an index exclusive to the
+// running iteration, which the slot tid is; only a body that reads a user
+// __tid keeps the simulated path. The private frame copies are exact for
+// DOALL chunks; for DOACROSS, whose iterations interleave across workers,
+// the frame-slot gate (ProgramContext::LoopTraits::CarriesFrameSlot) keeps
+// every loop that could carry a value through a frame slot on the
+// simulated path, so the byte-diff merge below only ever copies back slots
+// nothing reads again.
+//
+// A worker's iterations stay off VMMemory's registry lock and the host
+// allocator in the steady state: its calls push frames on a private LIFO
+// arena (MemWorker), its frees of blocks only it has seen are deleted at
+// once (any other stays quarantined until the join), and every buffer it
+// fills — ordered events, output, register file, nested-loop stats, ticket
+// bitmaps — is sized on the calling thread before the workers start.
+//
 // After the join everything is merged back deterministically, in serial
 // iteration order: output concatenation, per-iteration work cycles, the
 // peak-memory replay (per-iteration allocation deltas re-run in iteration
@@ -61,7 +80,6 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
-#include <set>
 #include <thread>
 
 namespace gdse {
@@ -69,8 +87,9 @@ namespace gdse {
 /// Cross-iteration synchronization for ordered regions under real DOACROSS
 /// threading: one ticket lane per region id. Iteration I may enter a region
 /// once every iteration < I has released it; NextIter is the smallest
-/// iteration that has not yet released, and Released holds out-of-order
-/// completions ahead of it.
+/// iteration that has not yet released, and Released marks out-of-order
+/// completions ahead of it (one bit per iteration, allocated up front so a
+/// release never touches the host allocator).
 ///
 /// With a non-zero watchdog window the wait is timed: a waiter that sees no
 /// release anywhere (Progress unchanged) for a full window declares the
@@ -81,7 +100,7 @@ struct DoacrossSync {
     std::mutex Mu;
     std::condition_variable Cv;
     uint64_t NextIter = 0;
-    std::set<uint64_t> Released;
+    std::vector<uint64_t> Released;
   };
   std::map<unsigned, Region> Regions;
   /// Watchdog window in milliseconds; 0 = untimed waits (watchdog off).
@@ -91,10 +110,11 @@ struct DoacrossSync {
   std::atomic<uint64_t> Progress{0};
   std::atomic<bool> Wedged{false};
 
-  DoacrossSync(const std::vector<unsigned> &Ids, uint64_t WatchdogMs)
+  DoacrossSync(const std::vector<unsigned> &Ids, uint64_t Total,
+               uint64_t WatchdogMs)
       : WindowMs(WatchdogMs) {
     for (unsigned Id : Ids)
-      Regions[Id];
+      Regions[Id].Released.assign((Total + 63) / 64, 0);
   }
 
   /// Blocks until iteration \p Iter holds region \p Id's ticket. Returns
@@ -151,17 +171,14 @@ struct DoacrossSync {
     Progress.fetch_add(1, std::memory_order_relaxed);
     for (auto &[Id, R] : Regions) {
       std::unique_lock<std::mutex> Lock(R.Mu);
-      // A duplicate or stale release must be inert: inserting an iteration
-      // already below the lane frontier would park it at Released.begin(),
-      // where it never matches NextIter and blocks the drain loop below —
-      // wedging every later waiter on this lane forever.
+      // A duplicate or stale release must be inert: an iteration already
+      // below the lane frontier has nothing left to release.
       if (Iter < R.NextIter)
         continue;
-      R.Released.insert(Iter);
-      while (!R.Released.empty() && *R.Released.begin() == R.NextIter) {
-        R.Released.erase(R.Released.begin());
+      R.Released[Iter / 64] |= uint64_t(1) << (Iter % 64);
+      while (R.NextIter / 64 < R.Released.size() &&
+             (R.Released[R.NextIter / 64] >> (R.NextIter % 64) & 1))
         ++R.NextIter;
-      }
       R.Cv.notify_all();
     }
   }
@@ -188,13 +205,15 @@ void ThreadState::orderedRealEnter(unsigned RegionId) {
 namespace {
 
 /// Everything one iteration leaves behind, indexed by iteration so the merge
-/// can walk in serial order regardless of which worker ran what.
+/// can walk in serial order regardless of which worker ran what. Ordered
+/// events and output stay in the running worker's buffers; the record keeps
+/// their ranges, so an iteration costs the worker no host allocation.
 struct IterRec {
-  uint64_t W = 0;                    ///< work cycles of the body
-  std::vector<OrderedEvent> Events;  ///< ordered entries/exits (DOACROSS)
-  std::string Out;                   ///< print output of this iteration
-  int64_t MemNet = 0;                ///< net tracked bytes allocated
-  int64_t MemMaxPrefix = 0;          ///< max net-bytes prefix within the iter
+  uint64_t W = 0;                  ///< work cycles of the body
+  size_t EvBegin = 0, EvEnd = 0;   ///< ordered entries/exits (DOACROSS)
+  size_t OutBegin = 0, OutEnd = 0; ///< print output of this iteration
+  int64_t MemNet = 0;              ///< net tracked bytes allocated
+  int64_t MemMaxPrefix = 0;        ///< max net-bytes prefix within the iter
   Flow FL = Flow::Normal;
   int Worker = -1;
   bool Ran = false;
@@ -213,11 +232,10 @@ struct WorkerCtx {
 
 } // namespace
 
-Flow ThreadState::runForThreaded(
-    unsigned LoopId, ParallelKind Kind, Type *IVType,
-    const std::function<void(ForBounds &)> &EvalBounds,
-    const std::function<Flow()> &Body, const ThreadLoopHooks &Host,
-    ThreadPool &Pool) {
+Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
+                                 Type *IVType, BoundsFn EvalBounds,
+                                 BodyFn Body, const ThreadLoopHooks &Host,
+                                 ThreadPool &Pool) {
   const unsigned N = static_cast<unsigned>(std::max(1, Opts.NumThreads));
   const bool DOALL = Kind == ParallelKind::DOALL;
 
@@ -266,6 +284,9 @@ Flow ThreadState::runForThreaded(
   LoopStats &LS = Loops[LoopId];
   LS.Kind = Kind;
   ++LS.Invocations;
+  // Counted after the checkpoint, so a watchdog re-run records only its own
+  // path.
+  ++LS.Paths[static_cast<unsigned>(ThreadedPath::Threaded)];
   if (LS.WorkPerThread.size() != N) {
     LS.WorkPerThread.assign(N, 0);
     LS.SyncStallPerThread.assign(N, 0);
@@ -303,6 +324,9 @@ Flow ThreadState::runForThreaded(
       DOALL ? std::max<uint64_t>(1, (Total + N - 1) / N) : 1;
   Flow Result = Flow::Normal;
   std::vector<IterRec> Recs(Total);
+  std::vector<WorkerCtx> Workers;
+  // Each worker's frame arena and delta sink.
+  std::vector<MemWorker> MemWs;
   uint64_t AbnIt = UINT64_MAX; // lowest iteration that trapped/halted
 
   if (Total != 0) {
@@ -320,13 +344,21 @@ Flow ThreadState::runForThreaded(
     const uint64_t MemStart = Mem.currentBytes();
 
     static const std::vector<unsigned> NoRegions;
-    DoacrossSync Sync(Traits ? Traits->RegionIds : NoRegions, WatchdogMs);
+    DoacrossSync Sync(Traits ? Traits->RegionIds : NoRegions, Total,
+                      WatchdogMs);
     std::atomic<uint64_t> NextGrab{0};
     std::atomic<bool> Abort{false};
 
-    std::vector<WorkerCtx> Workers(NumWorkers);
+    // Per-worker buffers are sized here, on the calling thread, so the
+    // workers' steady state stays off the host allocator.
+    const size_t Regions = Traits ? Traits->RegionIds.size() : 0;
+    const size_t EvReserve =
+        Regions ? (Total / NumWorkers + 1) * 2 * Regions : 0;
+    Workers.resize(NumWorkers);
+    MemWs.reserve(NumWorkers);
     for (unsigned T = 0; T != NumWorkers; ++T) {
       WorkerCtx &W = Workers[T];
+      MemWs.emplace_back(T);
       W.WS.reset(new ThreadState(P));
       ThreadState &WS = *W.WS;
       WS.CurTid = static_cast<int>(T);
@@ -348,10 +380,17 @@ Flow ThreadState::runForThreaded(
       std::memcpy(reinterpret_cast<void *>(W.FrameBase), FrameSnap.data(),
                   Host.FrameSize);
       W.Body = Host.MakeWorker(WS, W.FrameBase);
+      if (Traits)
+        for (unsigned Id : Traits->InnerLoopIds)
+          WS.Loops[Id];
+      WS.LoopCtxStack.reserve(8);
       WS.LoopCtxStack.push_back({LoopId, 0});
+      WS.OrderedEvents.reserve(EvReserve);
     }
 
-    auto runIter = [&](WorkerCtx &W, uint64_t It) -> bool {
+    auto runIter = [&](unsigned T, uint64_t It) -> bool {
+      WorkerCtx &W = Workers[T];
+      MemWorker &WM = MemWs[T];
       ThreadState &WS = *W.WS;
       IterRec &R = Recs[It];
       WS.LoopCtxStack.back().Iter = It;
@@ -370,21 +409,17 @@ Flow ThreadState::runForThreaded(
       }
       int64_t IVal = B.Lo + static_cast<int64_t>(It) * B.Step;
       WS.storeScalar(W.FrameBase + IVOff, IVType, VMValue::ofInt(IVal));
-      WS.Output.clear();
-      WS.OrderedEvents.clear();
+      R.OutBegin = WS.Output.size();
+      R.EvBegin = WS.OrderedEvents.size();
       WS.IterStartCycles = WS.Cycles;
-      MemDeltaSink Sink;
-      VMMemory::setDeltaSink(&Sink);
+      WM.Sink.beginIter();
       uint64_t C0 = WS.Cycles;
       Flow FL = W.Body();
-      VMMemory::setDeltaSink(nullptr);
       R.W = WS.Cycles - C0;
-      R.Events = std::move(WS.OrderedEvents);
-      WS.OrderedEvents.clear();
-      R.Out = std::move(WS.Output);
-      WS.Output.clear();
-      R.MemNet = Sink.Cur;
-      R.MemMaxPrefix = Sink.MaxPrefix;
+      R.EvEnd = WS.OrderedEvents.size();
+      R.OutEnd = WS.Output.size();
+      R.MemNet = WM.Sink.Cur;
+      R.MemMaxPrefix = WM.Sink.MaxPrefix;
       R.Worker = static_cast<int>(WS.CurTid);
       R.Ran = true;
       W.LastIter = It;
@@ -409,17 +444,20 @@ Flow ThreadState::runForThreaded(
           uint64_t LoIt = static_cast<uint64_t>(T) * Chunk;
           uint64_t HiIt = std::min<uint64_t>(LoIt + Chunk, Total);
           TG.submit([&, T, LoIt, HiIt] {
+            Mem.attach(MemWs[T]);
             for (uint64_t It = LoIt; It != HiIt; ++It) {
               if (Abort.load(std::memory_order_relaxed))
                 break;
-              if (!runIter(Workers[T], It))
+              if (!runIter(T, It))
                 break;
             }
+            Mem.detach();
           });
         }
       } else {
         for (unsigned T = 0; T != NumWorkers; ++T) {
           TG.submit([&, T] {
+            Mem.attach(MemWs[T]);
             for (;;) {
               uint64_t It = NextGrab.fetch_add(1, std::memory_order_relaxed);
               if (It >= Total)
@@ -430,11 +468,12 @@ Flow ThreadState::runForThreaded(
                 Sync.releaseAll(It);
                 break;
               }
-              bool OK = runIter(Workers[T], It);
+              bool OK = runIter(T, It);
               Sync.releaseAll(It);
               if (!OK)
                 break;
             }
+            Mem.detach();
           });
         }
       }
@@ -460,6 +499,7 @@ Flow ThreadState::runForThreaded(
       ExitCode = SavedExitCode;
       ReturnValue = SavedReturnValue;
       Halted = SavedHalted;
+      ++Loops[LoopId].Paths[static_cast<unsigned>(ThreadedPath::WatchdogRerun)];
       noteDegradation(
           LoopId, /*Watchdog=*/true,
           formatString("DOACROSS watchdog fired (no lane progress within "
@@ -483,10 +523,12 @@ Flow ThreadState::runForThreaded(
     // iteration when one exists — later iterations other workers may have
     // executed are dropped, per the trap-run license).
     for (uint64_t It = 0; It != Total && It <= AbnIt; ++It) {
-      if (!Recs[It].Ran)
+      const IterRec &R = Recs[It];
+      if (!R.Ran)
         continue;
-      Cycles += Recs[It].W;
-      Output += Recs[It].Out;
+      Cycles += R.W;
+      Output.append(Workers[static_cast<unsigned>(R.Worker)].WS->Output,
+                    R.OutBegin, R.OutEnd - R.OutBegin);
     }
 
     // Peak-memory replay: re-run the per-iteration allocation deltas in
@@ -525,6 +567,9 @@ Flow ThreadState::runForThreaded(
     // is additive; fold in merge order for determinism.
     for (unsigned T : Order) {
       for (const auto &[Id, S] : Workers[T].WS->Loops) {
+        if (!S.Invocations && !S.GuardChecks && !S.GuardViolations &&
+            !S.GuardFallbacks)
+          continue; // set up before the start and never touched
         LoopStats &D = Loops[Id];
         if (D.Kind == ParallelKind::None)
           D.Kind = S.Kind;
@@ -684,12 +729,15 @@ Flow ThreadState::runForThreaded(
   // path breaks out of its iteration loop.
   ParallelTimeline TL(Opts.Costs, N, DOALL);
   for (uint64_t It = 0; It != Total && It < AbnIt; ++It) {
-    if (!Recs[It].Ran)
+    const IterRec &R = Recs[It];
+    if (!R.Ran)
       continue;
     unsigned T =
         DOALL ? static_cast<unsigned>(std::min<uint64_t>(It / Chunk, N - 1))
               : TL.dispatchDoacross();
-    TL.completeIter(T, Recs[It].W, Recs[It].Events);
+    const std::vector<OrderedEvent> &Ev =
+        Workers[static_cast<unsigned>(R.Worker)].WS->OrderedEvents;
+    TL.completeIter(T, R.W, Ev.data() + R.EvBegin, R.EvEnd - R.EvBegin);
   }
 
   uint64_t WorkDelta = Cycles - Before;

@@ -412,10 +412,19 @@ private:
 };
 
 /// The current thread index (the paper's \c tid); 0 outside parallel loops.
+/// A *synthesized* tid is one expansion inserted as a copy index: it only
+/// selects a thread-private copy, so any index that is exclusive to the
+/// running iteration serves (the host-threaded runner uses the worker's).
+/// A user-written \c __tid is observable and must equal the virtual thread.
 class ThreadIdExpr : public Expr {
 public:
-  explicit ThreadIdExpr(Type *IntTy) : Expr(Kind::ThreadId, IntTy) {}
+  explicit ThreadIdExpr(Type *IntTy, bool Synthesized = false)
+      : Expr(Kind::ThreadId, IntTy), Synthesized(Synthesized) {}
+  bool isSynthesized() const { return Synthesized; }
   static bool classof(const Expr *E) { return E->getKind() == Kind::ThreadId; }
+
+private:
+  bool Synthesized;
 };
 
 /// The thread count the program runs with (the paper's \c N); a runtime value.

@@ -41,7 +41,10 @@ public:
     return M.create<FloatLitExpr>(V, Ty ? Ty : Ctx.getFloat64());
   }
   VarRefExpr *varRef(VarDecl *D) { return M.create<VarRefExpr>(D); }
-  ThreadIdExpr *threadId() { return M.create<ThreadIdExpr>(Ctx.getInt32()); }
+  /// \p Synthesized marks an expansion copy index (see ThreadIdExpr).
+  ThreadIdExpr *threadId(bool Synthesized = false) {
+    return M.create<ThreadIdExpr>(Ctx.getInt32(), Synthesized);
+  }
   NumThreadsExpr *numThreads() {
     return M.create<NumThreadsExpr>(Ctx.getInt32());
   }

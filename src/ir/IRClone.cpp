@@ -86,7 +86,8 @@ Expr *gdse::cloneExpr(Module &M, const Expr *E) {
     return M.create<SizeofTypeExpr>(S->getQueriedType(), S->getType());
   }
   case Expr::Kind::ThreadId:
-    return M.create<ThreadIdExpr>(E->getType());
+    return M.create<ThreadIdExpr>(E->getType(),
+                                  cast<ThreadIdExpr>(E)->isSynthesized());
   case Expr::Kind::NumThreads:
     return M.create<NumThreadsExpr>(E->getType());
   case Expr::Kind::Cond: {

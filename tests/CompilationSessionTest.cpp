@@ -389,6 +389,14 @@ TEST(BatchCompilation, SameModuleUnitsSerializeAndShareOneSession) {
             RefStats.NumberingRuns);
   EXPECT_EQ(Results[0].Stats.ProfileRuns + Results[1].Stats.ProfileRuns,
             RefStats.ProfileRuns);
+  // Each unit's stats are its own delta on the shared session, lowerings
+  // included: profiling lowers the module, so each unit reports at least
+  // one, and together they match the serial session.
+  EXPECT_GE(Results[0].Stats.BytecodeLowerings, 1u);
+  EXPECT_GE(Results[1].Stats.BytecodeLowerings, 1u);
+  EXPECT_EQ(Results[0].Stats.BytecodeLowerings +
+                Results[1].Stats.BytecodeLowerings,
+            RefStats.BytecodeLowerings);
 
   EXPECT_EQ(printModule(*M), printModule(*Ref));
 }

@@ -518,12 +518,10 @@ INSTANTIATE_TEST_SUITE_P(Reductions, ReductionMatrix,
                          ::testing::ValuesIn(reductionNames()),
                          reductionTestName);
 
-TEST(ThreadsEngine, DoacrossOrderedRegions) {
-  // DOACROSS under real threads: iterations run concurrently, ordered
-  // regions serialize through cross-iteration tickets, and the replayed
-  // timeline (SimTime, per-thread stall vectors) must still be bit-identical
-  // to the simulated schedule.
-  const char *Src = R"(
+/// A loop that carries a running sum and prints every iteration. The static
+/// graph makes it DOACROSS with ordered regions; the profiled graph folds
+/// the sum into a reduction.
+const char *OrderedRegionsSrc = R"(
 int out;
 int main() {
   int n = 64;
@@ -542,7 +540,14 @@ int main() {
   free(data);
   return 0;
 })";
-  std::unique_ptr<Module> M = parseMiniCOrDie(Src, "threads-doacross");
+
+TEST(ThreadsEngine, DoacrossOrderedRegions) {
+  // DOACROSS under real threads: iterations run concurrently, ordered
+  // regions serialize through cross-iteration tickets, and the replayed
+  // timeline (SimTime, per-thread stall vectors) must still be bit-identical
+  // to the simulated schedule.
+  std::unique_ptr<Module> M =
+      parseMiniCOrDie(OrderedRegionsSrc, "threads-doacross");
   for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
     PipelineResult PR = CompilationSession(*M).compileLoop(LoopId);
     ASSERT_TRUE(PR.Ok) << firstError(PR);
@@ -648,6 +653,363 @@ int main() {
   EXPECT_EQ(H.R.TrapLoopId, B.R.TrapLoopId);
   EXPECT_EQ(H.R.TrapIteration, 9);
   EXPECT_EQ(B.R.TrapIteration, 9);
+}
+
+//===----------------------------------------------------------------------===//
+// Threads engine: which loops run on host threads, and why not.
+//===----------------------------------------------------------------------===//
+
+/// Compiles every candidate loop of \p Src with the default pipeline.
+std::unique_ptr<Module> compiledSource(const char *Src, const char *Name) {
+  std::unique_ptr<Module> M = parseMiniCOrDie(Src, Name);
+  for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
+    PipelineResult PR = CompilationSession(*M).compileLoop(LoopId);
+    EXPECT_TRUE(PR.Ok) << Name << ": " << firstError(PR);
+  }
+  return M;
+}
+
+/// The single parallel loop of \p M and its kind.
+std::pair<unsigned, ParallelKind> parallelLoop(Module &M) {
+  std::pair<unsigned, ParallelKind> Found{0, ParallelKind::None};
+  for (Function *F : M.getFunctions())
+    if (F->isDefinition())
+      walkStmts(F->getBody(), [&](Stmt *S) {
+        if (auto *FS = dyn_cast<ForStmt>(S))
+          if (FS->getParallelKind() != ParallelKind::None)
+            Found = {FS->getLoopId(), FS->getParallelKind()};
+      });
+  return Found;
+}
+
+/// Marks loop \p LoopId of \p M as \p Kind (for fixtures the profiling run
+/// cannot compile, or whose shape the test wants fixed).
+void markLoop(Module &M, unsigned LoopId, ParallelKind Kind) {
+  for (Function *F : M.getFunctions())
+    if (F->isDefinition())
+      walkStmts(F->getBody(), [&](Stmt *S) {
+        if (auto *FS = dyn_cast<ForStmt>(S))
+          if (FS->getLoopId() == LoopId)
+            FS->setParallelKind(Kind);
+      });
+}
+
+/// The one path every invocation of \p LoopId took in \p R (fails when the
+/// invocations split across paths).
+ThreadedPath pathOf(const RunResult &R, unsigned LoopId) {
+  auto It = R.Loops.find(LoopId);
+  EXPECT_NE(It, R.Loops.end()) << "loop " << LoopId;
+  if (It == R.Loops.end())
+    return ThreadedPath::NotThreadsEngine;
+  const LoopStats &L = It->second;
+  for (unsigned C = 0; C != NumThreadedPaths; ++C)
+    if (L.Paths[C]) {
+      EXPECT_EQ(L.Paths[C], L.Invocations)
+          << "loop " << LoopId << " split across paths";
+      return static_cast<ThreadedPath>(C);
+    }
+  ADD_FAILURE() << "loop " << LoopId << " recorded no path";
+  return ThreadedPath::NotThreadsEngine;
+}
+
+std::string pathName(ThreadedPath P) { return threadedPathName(P); }
+
+// DoacrossOrderedRegions with the running value `out` a local of main.
+// Workers run on private frame copies whose bytes the join merges, so run
+// threaded this prints a mix of different workers' `out` (83173, 58687,
+// 61756 in three runs at 4 threads) instead of 59887. The frame-slot gate
+// keeps it on the simulated path.
+const char *CarriedLocalSrc = R"(
+int main() {
+  int n = 4096;
+  int out = 0;
+  int* data = (int*)malloc(16384);
+  int i;
+  for (i = 0; i < n; i++) data[i] = (i * 37 + 11) % 50;
+  @candidate for (int it = 0; it < n; it++) {
+    int v = data[it];
+    int w = 0;
+    int k;
+    for (k = 0; k < v; k++) w = w + k * k;
+    out = (out * 3 + w % 101) % 100003;
+    print_int(w % 101);
+  }
+  print_int(out);
+  free(data);
+  return 0;
+})";
+
+TEST(ThreadsEngine, CarriedFrameLocalStaysSimulated) {
+  std::unique_ptr<Module> M =
+      compiledSource(CarriedLocalSrc, "carried-frame-local");
+  auto [LoopId, Kind] = parallelLoop(*M);
+  ASSERT_EQ(Kind, ParallelKind::DOACROSS);
+  diffThreadsModule(*M, "carried-frame-local");
+  for (int N : {2, 4}) {
+    EngineRun H = runNoObs(*M, ExecEngine::Threads, N);
+    EXPECT_EQ(H.R.Output.substr(H.R.Output.rfind('\n', H.R.Output.size() - 2)),
+              "\n59887\n");
+    EXPECT_EQ(pathName(pathOf(H.R, LoopId)), "carried-frame-slot");
+  }
+}
+
+// The same shape through expansion: `scratch` is privatized into per-thread
+// copies indexed by a synthesized tid, which alone would let the loop run
+// threaded, and `out` is a carried local. Run threaded it prints 50091,
+// 66393 or 95853 (three runs) instead of 24533.
+const char *ExpandedCarriedLocalSrc = R"(
+int data[4096]; int scratch[64];
+int main() { int n = 4096; int out = 0; int seed = 99;
+  for (int i = 0; i < n; i++) { seed = seed * 1103515245 + 12345; data[i] = (seed >> 16) & 63; }
+  @candidate for (int it = 0; it < n; it++) {
+    int v = data[it];
+    for (int k = 0; k < 64; k++) { scratch[k] = k * v; }
+    int w = 0;
+    for (int k = 0; k < v; k++) { w = w + scratch[k] % 7; }
+    out = (out * 3 + w % 101) % 100003;
+  }
+  print_int(out); return 0; }
+)";
+
+TEST(ThreadsEngine, ExpandedCarriedFrameLocalStaysSimulated) {
+  std::unique_ptr<Module> M =
+      compiledSource(ExpandedCarriedLocalSrc, "expanded-carried-local");
+  auto [LoopId, Kind] = parallelLoop(*M);
+  ASSERT_EQ(Kind, ParallelKind::DOACROSS);
+  diffThreadsModule(*M, "expanded-carried-local");
+  for (int N : {2, 4}) {
+    EngineRun H = runNoObs(*M, ExecEngine::Threads, N);
+    EXPECT_EQ(H.R.Output, "24533\n");
+    EXPECT_EQ(pathName(pathOf(H.R, LoopId)), "carried-frame-slot");
+  }
+}
+
+TEST(ThreadsEngine, UserTidDoacrossStaysSimulated) {
+  // A DOACROSS body that prints __tid observes the virtual thread, which is
+  // only known from the replayed timeline: it must keep the simulated path
+  // and stay bit-identical.
+  const char *Src = R"(
+int acc;
+int main() {
+  int n = 48;
+  int* a = (int*)malloc(192);
+  int i;
+  for (i = 0; i < n; i++) a[i] = (i * 7) % 13;
+  @candidate for (int it = 0; it < n; it++) {
+    int v = a[it] * 5;
+    print_int(__tid);
+    acc = acc * 3 + v;
+  }
+  print_int(acc);
+  free(a);
+  return 0;
+})";
+  std::unique_ptr<Module> M = parseMiniCOrDie(Src, "user-tid");
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
+  ASSERT_EQ(Cands.size(), 1u);
+  markLoop(*M, Cands.front(), ParallelKind::DOACROSS);
+  diffThreadsModule(*M, "user-tid");
+  for (int N : {2, 4}) {
+    EngineRun H = runNoObs(*M, ExecEngine::Threads, N);
+    EXPECT_EQ(pathName(pathOf(H.R, Cands.front())), "user-tid");
+  }
+}
+
+TEST(ThreadsEngine, ShippedDoacrossLoopsRunThreaded) {
+  // dijkstra loop 4, 256.bzip2 loop 3 and 456.hmmer loop 6: expansion's
+  // copy indices are synthesized tids and every hoisted local is written
+  // before it is read, so all three run on host threads (the WorkloadThreads
+  // matrix checks they stay bit-identical).
+  for (const auto &[Name, Loop] :
+       std::vector<std::pair<const char *, unsigned>>{
+           {"dijkstra", 4}, {"256.bzip2", 3}, {"456.hmmer", 6}}) {
+    const WorkloadInfo *W = findWorkload(Name);
+    ASSERT_NE(W, nullptr);
+    std::unique_ptr<Module> M = compiledSource(W->Source, Name);
+    auto [LoopId, Kind] = parallelLoop(*M);
+    EXPECT_EQ(LoopId, Loop) << Name;
+    EXPECT_EQ(Kind, ParallelKind::DOACROSS) << Name;
+    for (int N : {2, 4}) {
+      EngineRun B = runNoObs(*M, ExecEngine::Bytecode, N);
+      EngineRun H = runNoObs(*M, ExecEngine::Threads, N);
+      EXPECT_EQ(H.R.Output, B.R.Output) << Name << "@" << N;
+      EXPECT_EQ(pathName(pathOf(H.R, LoopId)), "threaded") << Name << "@" << N;
+    }
+  }
+}
+
+TEST(ThreadsEngine, EveryPathCodeIsReachable) {
+  // Pins each ThreadedPath code to a configuration that produces it. (A
+  // guarded loop's commit can arm a post-loop watch, which sends its later
+  // invocations down the serial-order path, so a run may show two codes.)
+  std::map<std::string, unsigned> Seen;
+  auto note = [&](const RunResult &R, unsigned LoopId) {
+    EXPECT_FALSE(R.Trapped) << R.TrapMessage;
+    auto It = R.Loops.find(LoopId);
+    ASSERT_NE(It, R.Loops.end()) << "loop " << LoopId;
+    for (unsigned C = 0; C != NumThreadedPaths; ++C)
+      if (It->second.Paths[C])
+        ++Seen[pathName(static_cast<ThreadedPath>(C))];
+  };
+
+  // A DOALL loop and a loop whose induction variable is a global.
+  const char *Src = R"(
+int g;
+int out[64];
+int main() {
+  int n = 64;
+  @candidate for (int it = 0; it < n; it++) out[it] = it * 3;
+  @candidate for (int j = 0; j < n; j++) out[7] = 5;
+  print_int(out[5] + g);
+  return 0;
+})";
+  std::unique_ptr<Module> M = parseMiniCOrDie(Src, "paths");
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
+  ASSERT_EQ(Cands.size(), 2u);
+  for (unsigned L : Cands)
+    markLoop(*M, L, ParallelKind::DOALL);
+  // MiniC only declares local induction variables; move the second loop's
+  // onto the global `g`.
+  VarDecl *G = nullptr;
+  for (VarDecl *D : M->getGlobals())
+    if (D->getName() == "g")
+      G = D;
+  ASSERT_NE(G, nullptr);
+  for (Function *F : M->getFunctions())
+    if (F->isDefinition())
+      walkStmts(F->getBody(), [&](Stmt *S) {
+        if (auto *FS = dyn_cast<ForStmt>(S))
+          if (FS->getLoopId() == Cands[1])
+            FS->setInductionVar(G);
+      });
+  note(runNoObs(*M, ExecEngine::Threads, 4).R, Cands[0]);
+  note(runNoObs(*M, ExecEngine::Bytecode, 4).R, Cands[0]);
+  note(runNoObs(*M, ExecEngine::Threads, 4).R, Cands[1]);
+  note(runEngine(*M, ExecEngine::Threads, 4, /*KeepEvents=*/false).R,
+       Cands[0]);
+  {
+    InterpOptions IO;
+    IO.Engine = ExecEngine::Threads;
+    IO.NumThreads = 4;
+    std::string Err;
+    IO.Resilience.Faults = FaultInjector::parse("worker-start-fail@1", Err);
+    ASSERT_TRUE(IO.Resilience.Faults) << Err;
+    note(Interp(*M, IO).run(), Cands[0]);
+  }
+
+  // The runtime-privatization baseline, and a guarded DOACROSS loop in
+  // both guard modes.
+  const WorkloadInfo *W = findWorkload("456.hmmer");
+  ASSERT_NE(W, nullptr);
+  {
+    std::unique_ptr<Module> RM = parseMiniCOrDie(W->Source, W->Name);
+    PipelineOptions PO;
+    PO.Method = PrivatizationMethod::Runtime;
+    for (unsigned L : CompilationSession(*RM).candidateLoops())
+      ASSERT_TRUE(CompilationSession(*RM).compileLoop(L, PO).Ok);
+    note(runNoObs(*RM, ExecEngine::Threads, 4).R, parallelLoop(*RM).first);
+  }
+  std::unique_ptr<Module> GM = parseMiniCOrDie(W->Source, W->Name);
+  std::vector<std::shared_ptr<const GuardPlan>> Plans;
+  for (unsigned L : CompilationSession(*GM).candidateLoops()) {
+    PipelineResult PR = CompilationSession(*GM).compileLoop(L);
+    ASSERT_TRUE(PR.Ok) << firstError(PR);
+    if (PR.Guard)
+      Plans.push_back(PR.Guard);
+  }
+  ASSERT_FALSE(Plans.empty());
+  ASSERT_EQ(parallelLoop(*GM).second, ParallelKind::DOACROSS);
+  for (GuardMode G : {GuardMode::Check, GuardMode::Fallback})
+    note(runNoObs(*GM, ExecEngine::Threads, 4, G, Plans).R,
+         parallelLoop(*GM).first);
+
+  // The DOACROSS gates, on the fixtures above.
+  std::unique_ptr<Module> CM =
+      compiledSource(CarriedLocalSrc, "carried-frame-local");
+  note(runNoObs(*CM, ExecEngine::Threads, 4).R, parallelLoop(*CM).first);
+  std::unique_ptr<Module> TM = parseMiniCOrDie(R"(
+int acc;
+int main() {
+  int n = 8;
+  @candidate for (int it = 0; it < n; it++) acc = acc * 3 + __tid;
+  print_int(acc);
+  return 0;
+})",
+                                               "user-tid-small");
+  unsigned TL = CompilationSession(*TM).candidateLoops().front();
+  markLoop(*TM, TL, ParallelKind::DOACROSS);
+  note(runNoObs(*TM, ExecEngine::Threads, 4).R, TL);
+
+  // A threaded DOACROSS attempt that wedges: the watchdog abandons it and
+  // re-runs the invocation simulated, which is the only path it records.
+  {
+    std::unique_ptr<Module> OM =
+        parseMiniCOrDie(OrderedRegionsSrc, "ordered-regions");
+    PipelineOptions PO;
+    PO.Source = GraphSource::Static;
+    for (unsigned L : CompilationSession(*OM).candidateLoops())
+      ASSERT_TRUE(CompilationSession(*OM).compileLoop(L, PO).Ok);
+    ASSERT_EQ(parallelLoop(*OM).second, ParallelKind::DOACROSS);
+    InterpOptions IO;
+    IO.Engine = ExecEngine::Threads;
+    IO.NumThreads = 4;
+    IO.Resilience.WatchdogMs = 20;
+    std::string Err;
+    IO.Resilience.Faults =
+        FaultInjector::parse("lane-delay@1,delay-ms=200", Err);
+    ASSERT_TRUE(IO.Resilience.Faults) << Err;
+    RunResult R = Interp(*OM, IO).run();
+    unsigned OL = parallelLoop(*OM).first;
+    EXPECT_EQ(pathName(pathOf(R, OL)), "watchdog-rerun");
+    note(R, OL);
+  }
+
+  for (unsigned C = 0; C != NumThreadedPaths; ++C)
+    EXPECT_GE(Seen[pathName(static_cast<ThreadedPath>(C))], 1u)
+        << pathName(static_cast<ThreadedPath>(C));
+  EXPECT_EQ(Seen.size(), NumThreadedPaths);
+}
+
+TEST(ThreadsEngine, CalleeFrameBoundsCheckTrapsLikeBytecode) {
+  // A threaded iteration's callee frame lives in the worker's frame arena;
+  // bounds checks against it must stay exact, so the one-past-the-end store
+  // traps with the bytecode engine's message and attribution.
+  const char *Src = R"(
+int sink[64];
+int fill(int it) {
+  int idx = it % 4;
+  int buf[4];
+  if (it == 17) idx = 4; // one past buf, which ends the frame
+  buf[idx] = it;
+  return buf[it % 4] + idx;
+}
+int main() {
+  int n = 40;
+  @candidate for (int it = 0; it < n; it++) {
+    sink[it] = fill(it);
+  }
+  print_int(sink[3]);
+  return 0;
+})";
+  std::unique_ptr<Module> M = parseMiniCOrDie(Src, "arena-bounds");
+  std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
+  ASSERT_EQ(Cands.size(), 1u);
+  markLoop(*M, Cands.front(), ParallelKind::DOALL);
+  for (int N : {2, 4}) {
+    EngineRun B = runNoObs(*M, ExecEngine::Bytecode, N);
+    EngineRun H = runNoObs(*M, ExecEngine::Threads, N);
+    ASSERT_TRUE(B.R.Trapped);
+    ASSERT_TRUE(H.R.Trapped);
+    EXPECT_NE(B.R.TrapMessage.find("out-of-bounds store of 4 bytes"),
+              std::string::npos)
+        << B.R.TrapMessage;
+    // The faulting address is a host address, different per run.
+    EXPECT_EQ(stripAddr(H.R.TrapMessage), stripAddr(B.R.TrapMessage));
+    EXPECT_EQ(H.R.TrapLoopId, B.R.TrapLoopId);
+    EXPECT_EQ(H.R.TrapIteration, 17);
+    EXPECT_EQ(B.R.TrapIteration, 17);
+    EXPECT_EQ(pathName(pathOf(H.R, Cands.front())), "threaded");
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,6 +9,8 @@
 // kills or erases an allocation must leave the cache unable to answer with
 // the dead block, even when the host allocator immediately recycles the
 // address for an unrelated allocation (the freed-then-reallocated hazard).
+// Plus the concurrent-mode worker paths: call frames on a worker's arena,
+// with exact per-frame bounds and deltas, and frees while concurrent.
 //
 //===----------------------------------------------------------------------===//
 
@@ -91,6 +93,64 @@ TEST(VMMemoryCache, ConcurrentModeTransitionsDropCache) {
   ASSERT_TRUE(Mem.deallocate(A)); // deferred host delete + erase
   Mem.endConcurrent();
   EXPECT_EQ(Mem.containing(A), nullptr);
+}
+
+TEST(VMMemoryConcurrent, WorkerFrameArenaAndSharedFrees) {
+  // One thread plays both workers in turn (attach() binds a worker to the
+  // calling thread, detach() lets it go).
+  VMMemory Mem;
+  uint64_t Pre = Mem.allocate(32, AllocKind::Heap, 1);
+  Mem.beginConcurrent();
+  MemWorker W0(0), W1(1);
+
+  Mem.attach(W0);
+  W0.Sink.beginIter();
+  uint64_t F = Mem.allocate(24, AllocKind::Frame, 0);
+  ASSERT_NE(F, 0u);
+  const Allocation *A = Mem.containing(F + 23);
+  ASSERT_NE(A, nullptr);
+  EXPECT_EQ(A->Base, F);
+  EXPECT_EQ(A->Kind, AllocKind::Frame);
+  EXPECT_EQ(Mem.byBase(F), A);
+  // Exact per-frame bounds: the byte past the frame belongs to no frame.
+  EXPECT_EQ(Mem.containing(F + 24), nullptr);
+  EXPECT_FALSE(Mem.inBounds(F + 20, 8));
+  uint64_t G = Mem.allocate(8, AllocKind::Frame, 0); // nested call
+  EXPECT_GE(G, F + 24);
+  EXPECT_TRUE(Mem.deallocate(G));
+  EXPECT_TRUE(Mem.deallocate(F));
+  EXPECT_EQ(Mem.containing(F), nullptr);
+  // +24, +8, -8, -24: the peak replay sees the frames like any block.
+  EXPECT_EQ(W0.Sink.Cur, 0);
+  EXPECT_EQ(W0.Sink.MaxPrefix, 32);
+  EXPECT_EQ(Mem.currentBytes(), 32u);
+
+  uint64_t H = Mem.allocate(16, AllocKind::Heap, 2);
+  ASSERT_NE(H, 0u);
+  Mem.detach();
+
+  // Worker 1 looks up worker 0's block, then worker 0 frees it and the
+  // pre-existing block: both are dead at once, though quarantined until
+  // endConcurrent().
+  Mem.attach(W1);
+  EXPECT_NE(Mem.containing(H + 4), nullptr);
+  Mem.detach();
+  Mem.attach(W0);
+  EXPECT_TRUE(Mem.deallocate(H));
+  EXPECT_TRUE(Mem.deallocate(Pre));
+  EXPECT_FALSE(Mem.deallocate(Pre));
+  EXPECT_EQ(Mem.byBase(H), nullptr);
+  EXPECT_EQ(Mem.containing(Pre), nullptr);
+  // A block only its own worker has seen is deleted at once.
+  uint64_t K = Mem.allocate(8, AllocKind::Heap, 3);
+  ASSERT_NE(Mem.containing(K), nullptr);
+  EXPECT_TRUE(Mem.deallocate(K));
+  EXPECT_FALSE(Mem.deallocate(K));
+  Mem.detach();
+  Mem.endConcurrent();
+  EXPECT_EQ(Mem.liveAllocations(), 0u);
+  EXPECT_EQ(Mem.currentBytes(), 0u);
+  EXPECT_EQ(Mem.containing(H), nullptr);
 }
 
 } // namespace

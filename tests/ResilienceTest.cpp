@@ -375,6 +375,19 @@ TEST_P(ResilienceThreads, WatchdogRecoversWedgedDoacross) {
   EXPECT_GE(totalWatchdogFires(R), 1u);
   EXPECT_GE(totalDegradations(R), 1u);
   EXPECT_TRUE(hasResilienceDiag(Diags, "DOACROSS watchdog fired"));
+  // The abandoned attempt is not counted as threaded: each fire records the
+  // re-run's path instead.
+  for (const auto &[Id, LS] : R.Loops) {
+    if (LS.Kind == ParallelKind::None)
+      continue;
+    EXPECT_EQ(LS.Paths[static_cast<unsigned>(ThreadedPath::WatchdogRerun)],
+              LS.WatchdogFires)
+        << "loop " << Id;
+    EXPECT_EQ(LS.Paths[static_cast<unsigned>(ThreadedPath::Threaded)] +
+                  LS.WatchdogFires,
+              LS.Invocations)
+        << "loop " << Id;
+  }
   EXPECT_EQ(RO.Faults->fireCount(FaultInjector::Point::LaneDelay), 1u);
 }
 
