@@ -15,7 +15,7 @@
 // the same innermost-to-outermost order.
 //
 // All memory, builtin, loop-driver, and timeline semantics come from
-// ExecState; this file only moves values between registers and dispatches.
+// ThreadState; this file only moves values between registers and dispatches.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,13 +36,13 @@ namespace {
 /// ordered region.
 struct ScopeEntry {
   bool IsWhile = false;
-  ExecState::ActiveLoop Loop; // while scopes
+  ThreadState::ActiveLoop Loop; // while scopes
   OrderedEvent Ev;            // ordered scopes
 };
 
 class BytecodeVM {
 public:
-  BytecodeVM(ExecState &S, const BytecodeModule &BM) : S(S), BM(BM) {}
+  BytecodeVM(ThreadState &S, const BytecodeModule &BM) : S(S), BM(BM) {}
 
   /// Mirrors the tree-walker's invokeEntry.
   void runEntry(const Function *F) {
@@ -69,7 +69,7 @@ public:
   }
 
 private:
-  ExecState &S;
+  ThreadState &S;
   const BytecodeModule &BM;
   std::vector<VMValue> Regs;
   std::vector<ScopeEntry> Scopes;
@@ -86,7 +86,8 @@ private:
   }
 
   static int64_t normSK(int64_t V, ScalarKind K) {
-    return ExecState::normalizeInt(V, scalarSize(K) * 8, K <= ScalarKind::I64);
+    return ThreadState::normalizeInt(V, scalarSize(K) * 8,
+                                     K <= ScalarKind::I64);
   }
 
   /// Mirrors the tree-walker's evalCall from the allocation on (the depth
@@ -472,7 +473,7 @@ private:
 
       case BCOp::ForLoop: {
         const BCForMeta &FM = BF.Fors[I.Imm32];
-        auto Bounds = [&](ExecState::ForBounds &B) {
+        auto Bounds = [&](ThreadState::ForBounds &B) {
           B.IVAddr = FM.IVGlobal ? S.globalAddr(FM.IVGlobal)
                                  : FrameBase + FM.IVFrameOff;
           dispatch(BF, FrameBase, RegBase, FM.BoundsStart);
@@ -615,7 +616,7 @@ private:
 
 } // namespace
 
-void gdse::runBytecodeEntry(ExecState &S, const BytecodeModule &BM,
+void gdse::runBytecodeEntry(ThreadState &S, const BytecodeModule &BM,
                             const Function *F) {
   BytecodeVM VM(S, BM);
   VM.runEntry(F);

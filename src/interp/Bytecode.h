@@ -158,7 +158,7 @@ struct BCInst {
 
 /// Pre-resolved metadata of one `for` statement. Code layout:
 ///   ForLoop; [bounds code ... BoundsEnd]; [body code ... IterEnd]; ExitPc:
-/// The ForLoop handler drives ExecState::runForLoop over the two segments.
+/// The ForLoop handler drives ThreadState::runForLoop over the two segments.
 struct BCForMeta {
   unsigned LoopId = 0;
   ParallelKind Kind = ParallelKind::None;
@@ -205,7 +205,7 @@ std::shared_ptr<const BytecodeModule> lowerToBytecode(Module &M,
 /// Runs entry function \p F (already validated: defined, no parameters) on
 /// the bytecode engine, mirroring the tree-walker's invokeEntry. Results are
 /// left in \p S.
-void runBytecodeEntry(ExecState &S, const BytecodeModule &BM,
+void runBytecodeEntry(ThreadState &S, const BytecodeModule &BM,
                       const Function *F);
 
 } // namespace gdse

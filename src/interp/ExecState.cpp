@@ -450,11 +450,12 @@ void ThreadState::guardViolation(ViolationKind K, unsigned LoopId,
                                  unsigned Cls, uint64_t Iter, int Tid,
                                  uint64_t Addr, uint32_t Access) {
   ++Loops[LoopId].GuardViolations;
-  for (DependenceViolation &V : GuardViolationLog)
-    if (V.LoopId == LoopId && V.ClassIndex == Cls && V.Kind == K) {
-      ++V.Count;
-      return;
-    }
+  // In Fallback mode an in-loop violation abandons the speculative attempt
+  // at the iteration boundary; a post-loop watch hit is recovered in place by
+  // the last-value copy-out instead (guardWatchLoad).
+  if (Opts.Guard == GuardMode::Fallback &&
+      K != ViolationKind::DownwardsExposedStore)
+    GuardTripped = true;
   DependenceViolation V;
   V.Kind = K;
   V.LoopId = LoopId;
@@ -463,19 +464,29 @@ void ThreadState::guardViolation(ViolationKind K, unsigned LoopId,
   V.Thread = Tid;
   V.Addr = Addr;
   V.Access = Access;
+  logViolation(V);
+}
+
+void ThreadState::logViolation(const DependenceViolation &V) {
+  for (DependenceViolation &E : GuardViolationLog)
+    if (E.LoopId == V.LoopId && E.ClassIndex == V.ClassIndex &&
+        E.Kind == V.Kind) {
+      E.Count += V.Count;
+      return;
+    }
   GuardViolationLog.push_back(V);
-  if (Opts.GuardDiags && !SuppressGuardDiags) {
-    Diagnostic D;
-    // In fallback mode the run recovers (serial re-execution / last-value
-    // copy-out), so the violation is a warning; in check mode the result is
-    // known wrong, so it is an error.
-    D.Severity = Opts.Guard == GuardMode::Fallback ? DiagSeverity::Warning
-                                                   : DiagSeverity::Error;
-    D.Pass = "guard";
-    D.LoopId = LoopId;
-    D.Message = V.str();
-    Opts.GuardDiags->report(std::move(D));
-  }
+  if (!Opts.GuardDiags || SuppressGuardDiags)
+    return;
+  Diagnostic D;
+  // In fallback mode the run recovers (serial re-execution / last-value
+  // copy-out), so the violation is a warning; in check mode the result is
+  // known wrong, so it is an error.
+  D.Severity = Opts.Guard == GuardMode::Fallback ? DiagSeverity::Warning
+                                                 : DiagSeverity::Error;
+  D.Pass = "guard";
+  D.LoopId = V.LoopId;
+  D.Message = V.str();
+  Opts.GuardDiags->report(std::move(D));
 }
 
 void ThreadState::guardSetupRegions(const GuardPlan *GP, unsigned NumThreads) {
@@ -522,18 +533,10 @@ void ThreadState::guardTeardownRegions() {
 
 void ThreadState::guardLoad(uint32_t Id, uint64_t Addr, uint64_t Size) {
   if (GuardActive) {
-    const ProgramContext::GuardAccess *GA = nullptr;
-    if (Id != InvalidAccessId) {
-      auto It = P.GuardAccessMap.find(Id);
-      if (It != P.GuardAccessMap.end() && It->second.LoopId == GuardLoop)
-        GA = &It->second;
-    }
+    const ProgramContext::GuardAccess *GA = guardAccess(Id);
     if (GA && !GA->Commutative) {
-      unsigned Cls = GA->Class;
       ++Loops[GuardLoop].GuardChecks;
       GuardRegion *R = guardRegionContaining(Addr);
-      uint64_t Tid = static_cast<uint64_t>(CurTid);
-      uint64_t Last = Size ? Size - 1 : 0;
       if (!R) {
         // Outside every guarded region: either a dynamic instance the
         // rewrite left shared (zero-span fat pointer), or a fat-pointer
@@ -542,16 +545,10 @@ void ThreadState::guardLoad(uint32_t Id, uint64_t Addr, uint64_t Size) {
       } else if (R->Commutative) {
         // A claimed-private access reading another class's commutative
         // region observes a partial accumulator the merge has not folded.
-        guardViolation(ViolationKind::NonCommutativeTouch, GuardLoop,
-                       R->CommClass, GuardIter, CurTid, Addr, Id);
-        if (Opts.Guard == GuardMode::Fallback)
-          GuardTripped = true;
-      } else if ((Addr - R->Base) / R->Span != Tid ||
-                 (Addr - R->Base + Last) / R->Span != Tid) {
-        guardViolation(ViolationKind::SpanEscape, GuardLoop, Cls, GuardIter,
-                       CurTid, Addr, Id);
-        if (Opts.Guard == GuardMode::Fallback)
-          GuardTripped = true;
+        guardViolation(ViolationKind::NonCommutativeTouch, R->CommClass, Addr,
+                       Id);
+      } else if (escapesSpan(*R, Addr, Size)) {
+        guardViolation(ViolationKind::SpanEscape, GA->Class, Addr, Id);
       } else {
         uint64_t O = Addr - R->Base;
         for (uint64_t B = 0; B != Size; ++B) {
@@ -563,9 +560,7 @@ void ThreadState::guardLoad(uint32_t Id, uint64_t Addr, uint64_t Size) {
           // flow into the "private" class.
           guardViolation(WI == UINT32_MAX ? ViolationKind::UpwardsExposedLoad
                                           : ViolationKind::CarriedFlow,
-                         GuardLoop, Cls, GuardIter, CurTid, Addr + B, Id);
-          if (Opts.Guard == GuardMode::Fallback)
-            GuardTripped = true;
+                         GA->Class, Addr + B, Id);
           break;
         }
       }
@@ -575,27 +570,17 @@ void ThreadState::guardLoad(uint32_t Id, uint64_t Addr, uint64_t Size) {
       // region of its own class.
       ++Loops[GuardLoop].GuardChecks;
       GuardRegion *R = guardRegionContaining(Addr);
-      uint64_t Tid = static_cast<uint64_t>(CurTid);
-      uint64_t Last = Size ? Size - 1 : 0;
       if (R && (!R->Commutative || R->CommClass != GA->Class ||
-                (Addr - R->Base) / R->Span != Tid ||
-                (Addr - R->Base + Last) / R->Span != Tid)) {
-        guardViolation(ViolationKind::SpanEscape, GuardLoop, GA->Class,
-                       GuardIter, CurTid, Addr, Id);
-        if (Opts.Guard == GuardMode::Fallback)
-          GuardTripped = true;
-      }
+                escapesSpan(*R, Addr, Size)))
+        guardViolation(ViolationKind::SpanEscape, GA->Class, Addr, Id);
     } else if (GuardHasComm) {
       // Unclaimed load: normally not this plan's to validate, but reading a
       // commutative region mid-loop observes a partial accumulator — the
       // "every carried use is one reduction op" claim was wrong.
       GuardRegion *R = guardRegionContaining(Addr);
-      if (R && R->Commutative) {
-        guardViolation(ViolationKind::NonCommutativeTouch, GuardLoop,
-                       R->CommClass, GuardIter, CurTid, Addr, Id);
-        if (Opts.Guard == GuardMode::Fallback)
-          GuardTripped = true;
-      }
+      if (R && R->Commutative)
+        guardViolation(ViolationKind::NonCommutativeTouch, R->CommClass, Addr,
+                       Id);
     }
   }
   if (!GuardWatch.empty())
@@ -605,57 +590,32 @@ void ThreadState::guardLoad(uint32_t Id, uint64_t Addr, uint64_t Size) {
 void ThreadState::guardStore(uint32_t Id, uint64_t Addr, uint64_t Size) {
   if (GuardActive) {
     GuardRegion *R = guardRegionContaining(Addr);
-    const ProgramContext::GuardAccess *GA = nullptr;
-    if (Id != InvalidAccessId) {
-      auto It = P.GuardAccessMap.find(Id);
-      if (It != P.GuardAccessMap.end() && It->second.LoopId == GuardLoop)
-        GA = &It->second;
-    }
+    const ProgramContext::GuardAccess *GA = guardAccess(Id);
     int32_t Cls = -1;
     if (GA && !GA->Commutative) {
       Cls = static_cast<int32_t>(GA->Class);
       ++Loops[GuardLoop].GuardChecks;
-      uint64_t Tid = static_cast<uint64_t>(CurTid);
-      uint64_t Last = Size ? Size - 1 : 0;
       // As in guardLoad: addresses outside every region are shared or
       // metadata instances, not escapes.
-      if (R && R->Commutative) {
-        guardViolation(ViolationKind::NonCommutativeTouch, GuardLoop,
-                       R->CommClass, GuardIter, CurTid, Addr, Id);
-        if (Opts.Guard == GuardMode::Fallback)
-          GuardTripped = true;
-      } else if (R && ((Addr - R->Base) / R->Span != Tid ||
-                       (Addr - R->Base + Last) / R->Span != Tid)) {
-        guardViolation(ViolationKind::SpanEscape, GuardLoop,
-                       static_cast<unsigned>(Cls), GuardIter, CurTid, Addr,
+      if (R && R->Commutative)
+        guardViolation(ViolationKind::NonCommutativeTouch, R->CommClass, Addr,
                        Id);
-        if (Opts.Guard == GuardMode::Fallback)
-          GuardTripped = true;
-      }
+      else if (R && escapesSpan(*R, Addr, Size))
+        guardViolation(ViolationKind::SpanEscape, GA->Class, Addr, Id);
     } else if (GA) {
       // Commutative member: must stay inside its own copy's span of a
       // region of its own class. Aliasing into a first-write-shadowed
       // region falls through to the stamp below as a foreign (Cls = -1)
       // write, exactly like any unclaimed store.
       ++Loops[GuardLoop].GuardChecks;
-      uint64_t Tid = static_cast<uint64_t>(CurTid);
-      uint64_t Last = Size ? Size - 1 : 0;
       if (R && R->Commutative &&
-          (R->CommClass != GA->Class ||
-           (Addr - R->Base) / R->Span != Tid ||
-           (Addr - R->Base + Last) / R->Span != Tid)) {
-        guardViolation(ViolationKind::SpanEscape, GuardLoop, GA->Class,
-                       GuardIter, CurTid, Addr, Id);
-        if (Opts.Guard == GuardMode::Fallback)
-          GuardTripped = true;
-      }
+          (R->CommClass != GA->Class || escapesSpan(*R, Addr, Size)))
+        guardViolation(ViolationKind::SpanEscape, GA->Class, Addr, Id);
     } else if (R && R->Commutative) {
       // Unclaimed (or bulk) store into a commutative region clobbers
       // partial accumulators behind the merge's back.
-      guardViolation(ViolationKind::NonCommutativeTouch, GuardLoop,
-                     R->CommClass, GuardIter, CurTid, Addr, Id);
-      if (Opts.Guard == GuardMode::Fallback)
-        GuardTripped = true;
+      guardViolation(ViolationKind::NonCommutativeTouch, R->CommClass, Addr,
+                     Id);
     }
     if (R && !R->Commutative) {
       // Stamp the first-write shadow. Every write counts — shared (copy 0)
@@ -736,6 +696,7 @@ void ThreadState::guardWatchStore(uint64_t Addr, uint64_t Size) {
 }
 
 void ThreadState::guardCommit(const GuardPlan *GP, unsigned NumThreads) {
+  GuardActive = false;
   for (GuardRegion &R : GuardRegions) {
     if (R.Commutative)
       continue; // reconciled by the generated merge IR, which runs after
@@ -779,6 +740,7 @@ void ThreadState::guardCommit(const GuardPlan *GP, unsigned NumThreads) {
       GuardWatch[R.Base + Norm] = W;
     }
   }
+  guardTeardownRegions();
   updateGuardHooks();
 }
 
@@ -821,7 +783,10 @@ Flow ThreadState::runForLoop(unsigned LoopId, ParallelKind Kind, Type *IVType,
       Opts.SimulateParallel && Kind != ParallelKind::None && !InParallelLoop;
   if (!Parallel)
     return runForSerial(LoopId, Kind, IVType, EvalBounds, Body);
-  ThreadedPath Path = threadedEligible(LoopId, Kind, Host);
+  const unsigned N = static_cast<unsigned>(std::max(1, Opts.NumThreads));
+  ParallelInvocation I{LoopId, Kind, IVType, EvalBounds, Body, N,
+                       P.guardPlanFor(LoopId)};
+  ThreadedPath Path = threadedEligible(I, Host);
   ThreadPool *Pool = nullptr;
   if (Path == ThreadedPath::Threaded && !(Pool = P.loopPoolOrNull())) {
     // A dead worker pool (thread creation failed, or an injected
@@ -833,14 +798,11 @@ Flow ThreadState::runForLoop(unsigned LoopId, ParallelKind Kind, Type *IVType,
                     "degrading to the simulated serial-order path: worker "
                     "pool unavailable");
   }
-  if (Pool) // records its own path: a watchdog may re-run it simulated
-    return runForThreaded(LoopId, Kind, IVType, EvalBounds, Body, *Host,
-                          *Pool);
   ++Loops[LoopId].Paths[static_cast<unsigned>(Path)];
-  return runForParallel(LoopId, Kind, IVType, EvalBounds, Body);
+  return Pool ? runForThreaded(I, *Host, *Pool) : runForParallel(I);
 }
 
-ThreadedPath ThreadState::threadedEligible(unsigned LoopId, ParallelKind Kind,
+ThreadedPath ThreadState::threadedEligible(const ParallelInvocation &I,
                                            const ThreadLoopHooks *Host) const {
   // The engine must have offered host execution at all (only the bytecode
   // engine does, and only under ExecEngine::Threads).
@@ -857,29 +819,22 @@ ThreadedPath ThreadState::threadedEligible(unsigned LoopId, ParallelKind Kind,
   // threaded-compatible.
   if (Obs || Opts.Resilience.Budget.MaxCycles != 0 || !GuardWatch.empty())
     return ThreadedPath::SerialOrder;
-  const ProgramContext::LoopTraits *T = P.loopTraits(LoopId);
+  const ProgramContext::LoopTraits *T = P.loopTraits(I.LoopId);
   // Runtime privatization keeps a serial-order shadow map: simulate.
   if (!T || T->UsesRtPriv)
     return ThreadedPath::RtPriv;
-  const unsigned N = static_cast<unsigned>(std::max(1, Opts.NumThreads));
-  const GuardPlan *GP = nullptr;
-  if (Opts.Guard != GuardMode::Off && N <= 127) {
-    auto It = P.GuardPlanOf.find(LoopId);
-    if (It != P.GuardPlanOf.end())
-      GP = It->second;
-  }
   // Fallback speculation checkpoints and re-runs serially; the threaded
   // runner only supports check-mode guarding (per-worker shadow merge).
-  if (GP && Opts.Guard == GuardMode::Fallback)
+  if (I.GP && Opts.Guard == GuardMode::Fallback)
     return ThreadedPath::FallbackGuard;
-  if (Kind != ParallelKind::DOACROSS)
+  if (I.Kind != ParallelKind::DOACROSS)
     return ThreadedPath::Threaded;
   // DOACROSS virtual thread assignment (argmin of the simulated timeline) is
   // only known after the fact, so guard shadows that stamp it and bodies
   // that observe a user __tid cannot run on real threads in DOACROSS form.
   // Expansion's synthesized copy indices are fine: workers index the copies
   // by worker, which is exclusive to the iteration running on it.
-  if (GP)
+  if (I.GP)
     return ThreadedPath::GuardPlan;
   if (T->UsesTid)
     return ThreadedPath::UserTid;
@@ -948,155 +903,126 @@ Flow ThreadState::runForSerial(unsigned LoopId, ParallelKind Kind,
   return Result;
 }
 
-Flow ThreadState::runForParallel(unsigned LoopId, ParallelKind Kind,
-                                 Type *IVType, BoundsFn EvalBounds,
-                                 BodyFn Body) {
-  const unsigned N = static_cast<unsigned>(std::max(1, Opts.NumThreads));
-
-  // Guarded execution: look up this loop's plan. Thread ids are stored in an
-  // int8 shadow, so guarding is skipped outright for N > 127 (no such
-  // configuration exists in practice).
-  const GuardPlan *GP = nullptr;
-  if (Opts.Guard != GuardMode::Off && N <= 127) {
-    auto GIt = P.GuardPlanOf.find(LoopId);
-    if (GIt != P.GuardPlanOf.end())
-      GP = GIt->second;
-  }
-  // Fallback mode re-executes a tripped invocation serially, so everything
-  // the invocation can touch is checkpointed up front: VM memory (metadata
-  // and contents) plus the scalar run state below. The checkpoint is taken
-  // before any of this invocation's bookkeeping so the serial re-run starts
-  // from a truly pre-invocation world.
-  bool Speculate = GP && Opts.Guard == GuardMode::Fallback;
-  uint64_t SavedCycles = 0;
-  int64_t SavedTimeAdjust = 0;
-  std::string SavedOutput;
-  std::map<unsigned, LoopStats> SavedLoops;
-  std::map<std::pair<int, uint64_t>, uint64_t> SavedRtShadow;
-  std::map<uint64_t, GuardWatchByte> SavedWatch;
-  uint64_t SavedRtPrivTranslations = 0, SavedRtPrivBytesCopied = 0;
-  int64_t SavedExitCode = 0;
-  VMValue SavedReturnValue;
-  bool SavedHalted = false;
-  if (Speculate) {
-    Mem.beginSpeculation();
-    SavedCycles = Cycles;
-    SavedTimeAdjust = TimeAdjust;
-    SavedOutput = Output;
-    SavedLoops = Loops;
-    SavedRtShadow = RtShadow;
-    SavedWatch = GuardWatch;
-    SavedRtPrivTranslations = RtPrivTranslations;
-    SavedRtPrivBytesCopied = RtPrivBytesCopied;
-    SavedExitCode = ExitCode;
-    SavedReturnValue = ReturnValue;
-    SavedHalted = Halted;
-  }
-
-  LoopStats &LS = Loops[LoopId];
-  LS.Kind = Kind;
+bool ThreadState::beginParallel(ParallelInvocation &I) {
+  LoopStats &LS = Loops[I.LoopId];
+  LS.Kind = I.Kind;
   ++LS.Invocations;
-  if (LS.WorkPerThread.size() != N) {
-    LS.WorkPerThread.assign(N, 0);
-    LS.SyncStallPerThread.assign(N, 0);
-    LS.IdlePerThread.assign(N, 0);
-    LS.DispatchPerThread.assign(N, 0);
+  if (LS.WorkPerThread.size() != I.N) {
+    LS.WorkPerThread.assign(I.N, 0);
+    LS.SyncStallPerThread.assign(I.N, 0);
+    LS.IdlePerThread.assign(I.N, 0);
+    LS.DispatchPerThread.assign(I.N, 0);
   }
-
-  uint64_t Before = Cycles;
-  ForBounds B;
-  EvalBounds(B);
-  if (dead()) {
-    if (Speculate)
-      Mem.commitSpeculation();
-    return Flow::Halt;
-  }
-  if (B.Step <= 0) {
+  I.Before = Cycles;
+  I.EvalBounds(I.B);
+  if (dead())
+    return false;
+  if (I.B.Step <= 0) {
     trap("parallel for loop with non-positive step");
-    if (Speculate)
-      Mem.commitSpeculation();
-    return Flow::Halt;
+    return false;
   }
-  uint64_t Total =
-      B.Hi > B.Lo ? static_cast<uint64_t>((B.Hi - B.Lo + B.Step - 1) / B.Step)
-                  : 0;
-  uint64_t IVSize = Ctx.getLayout(IVType).Size;
-
+  const ForBounds &B = I.B;
+  I.Total = B.Hi > B.Lo
+                ? static_cast<uint64_t>((B.Hi - B.Lo + B.Step - 1) / B.Step)
+                : 0;
   if (Obs)
-    Obs->onLoopEnter(LoopId);
-  LoopCtxStack.push_back({LoopId, 0});
-  InParallelLoop = true;
-  RecordOrdered = Kind == ParallelKind::DOACROSS;
-
-  if (GP) {
-    guardSetupRegions(GP, N);
+    Obs->onLoopEnter(I.LoopId);
+  if (I.GP) {
+    guardSetupRegions(I.GP, I.N);
     if (GuardRegions.empty()) {
       // None of the plan's expanded structures are live (e.g. the loop runs
       // before its allocations): nothing to validate against this time.
-      GP = nullptr;
-      if (Speculate) {
-        Mem.commitSpeculation();
-        Speculate = false;
-      }
+      I.GP = nullptr;
     } else {
       GuardActive = true;
       GuardTripped = false;
-      GuardLoop = LoopId;
+      GuardLoop = I.LoopId;
       updateGuardHooks();
       ++LS.GuardedInvocations;
     }
   }
+  return true;
+}
 
-  bool DOALL = Kind == ParallelKind::DOALL;
-  ParallelTimeline TL(Opts.Costs, N, DOALL);
-  uint64_t Chunk = DOALL ? std::max<uint64_t>(1, (Total + N - 1) / N) : 1;
+Flow ThreadState::endParallel(const ParallelInvocation &I,
+                              const ParallelTimeline &TL, Flow Result) {
+  // The commit scan over the shadow arms the post-loop watch that catches
+  // output-dependence misclassifications the in-loop checks cannot see.
+  if (I.GP)
+    guardCommit(I.GP, I.N);
+  rtPrivCommitAll();
+  if (Obs)
+    Obs->onLoopExit(I.LoopId);
+
+  uint64_t WorkDelta = Cycles - I.Before;
+  uint64_t SimTime = TL.maxReady() + Opts.Costs.ForkJoin;
+  LoopStats &LS = Loops[I.LoopId];
+  LS.Iterations += I.Total;
+  LS.WorkCycles += WorkDelta;
+  LS.SimTime += SimTime;
+  TL.accumulate(LS);
+
+  // Program simulated time: replace this loop's work span by its simulated
+  // duration.
+  TimeAdjust +=
+      static_cast<int64_t>(SimTime) - static_cast<int64_t>(WorkDelta);
+  return Result;
+}
+
+Flow ThreadState::runForParallel(ParallelInvocation I) {
+  // Fallback mode re-executes a tripped invocation serially, so the
+  // checkpoint is taken before any of this invocation's bookkeeping: the
+  // serial re-run starts from a truly pre-invocation world.
+  InvocationCheckpoint CP(*this);
+  if (I.GP && Opts.Guard == GuardMode::Fallback)
+    CP.arm();
+  if (!beginParallel(I))
+    return Flow::Halt;
+  if (!I.GP)
+    CP.commit(); // no live region: nothing to speculate on
+
+  uint64_t IVSize = Ctx.getLayout(I.IVType).Size;
+  LoopCtxStack.push_back({I.LoopId, 0});
+  InParallelLoop = true;
+  RecordOrdered = I.Kind == ParallelKind::DOACROSS;
+  ParallelTimeline TL(Opts.Costs, I.N, I.Kind == ParallelKind::DOALL,
+                      I.Total);
 
   Flow Result = Flow::Normal;
-  bool DoFallback = false;
-  for (uint64_t It = 0; It != Total; ++It) {
+  for (uint64_t It = 0; It != I.Total; ++It) {
     LoopCtxStack.back().Iter = It;
     GuardIter = It;
     if (!checkBudget()) {
       Result = Flow::Halt;
       break;
     }
-    unsigned T = DOALL
-                     ? static_cast<unsigned>(std::min<uint64_t>(It / Chunk,
-                                                                N - 1))
-                     : TL.dispatchDoacross();
+    unsigned T = TL.dispatch(It);
     CurTid = static_cast<int>(T);
 
-    int64_t IVal = B.Lo + static_cast<int64_t>(It) * B.Step;
-    storeScalar(B.IVAddr, IVType, VMValue::ofInt(IVal));
+    int64_t IVal = I.B.Lo + static_cast<int64_t>(It) * I.B.Step;
+    storeScalar(I.B.IVAddr, I.IVType, VMValue::ofInt(IVal));
     if (Obs) {
-      Obs->onLoopIter(LoopId, It);
-      Obs->onStore(InvalidAccessId, B.IVAddr, IVSize);
+      Obs->onLoopIter(I.LoopId, It);
+      Obs->onStore(InvalidAccessId, I.B.IVAddr, IVSize);
     }
 
     OrderedEvents.clear();
     IterStartCycles = Cycles;
-    uint64_t C0 = Cycles;
-    Flow FL = Body();
-    uint64_t W = Cycles - C0;
+    Flow FL = I.Body();
+    uint64_t W = Cycles - IterStartCycles;
 
     // Fault injection: a spurious dependence violation at the iteration
     // boundary of a guarded invocation, exercising the check/fallback paths
     // without needing a program that actually races.
-    if (GuardActive && injectFault(FaultInjector::Point::GuardViolation)) {
-      guardViolation(ViolationKind::CarriedFlow, GuardLoop, 0, It, CurTid, 0,
-                     InvalidAccessId);
-      if (Opts.Guard == GuardMode::Fallback)
-        GuardTripped = true;
-    }
+    if (GuardActive && injectFault(FaultInjector::Point::GuardViolation))
+      guardViolation(ViolationKind::CarriedFlow, 0, 0, InvalidAccessId);
 
     // A tripped guard abandons the speculative run at the iteration
     // boundary, before any trap from this iteration is inspected: the serial
     // re-execution decides what really happens (including re-raising a trap
     // the mis-speculated state may have caused spuriously).
-    if (Speculate && GuardTripped) {
-      DoFallback = true;
+    if (CP.armed() && GuardTripped)
       break;
-    }
 
     if (FL == Flow::Break || FL == Flow::Return) {
       trap("break/return escaping a parallel loop");
@@ -1116,74 +1042,79 @@ Flow ThreadState::runForParallel(unsigned LoopId, ParallelKind Kind,
   CurTid = 0;
   LoopCtxStack.pop_back();
 
-  if (DoFallback) {
-    // Rollback: restore the pre-invocation world exactly, then run the loop
-    // serially on the original (copy-0) structures. Guard counters from the
-    // abandoned attempt are re-applied on top of the restored stats so the
-    // attempt stays visible in the accounting.
-    LoopStats Snap = Loops[LoopId];
-    Mem.rollbackSpeculation();
-    Cycles = SavedCycles;
-    TimeAdjust = SavedTimeAdjust;
-    Output = std::move(SavedOutput);
-    Loops = std::move(SavedLoops);
-    RtShadow = std::move(SavedRtShadow);
-    GuardWatch = std::move(SavedWatch);
-    RtPrivTranslations = SavedRtPrivTranslations;
-    RtPrivBytesCopied = SavedRtPrivBytesCopied;
-    ExitCode = SavedExitCode;
-    ReturnValue = SavedReturnValue;
-    Halted = SavedHalted;
-    Trapped = false;
-    TrapMessage.clear();
-    TrapLoopId = -1;
-    TrapIteration = -1;
-    TrapThread = -1;
-    GuardActive = false;
-    GuardTripped = false;
-    guardTeardownRegions();
-    updateGuardHooks();
-    LoopStats &L2 = Loops[LoopId];
-    L2.Kind = Kind;
-    L2.GuardedInvocations = Snap.GuardedInvocations;
-    L2.GuardChecks = Snap.GuardChecks;
-    L2.GuardViolations = Snap.GuardViolations;
-    ++L2.GuardFallbacks;
+  if (CP.armed() && GuardTripped) {
+    // Rollback to the pre-invocation world, then run the loop serially on
+    // the original (copy-0) structures. Guard counters from the abandoned
+    // attempt are re-applied on top of the restored stats so the attempt
+    // stays visible in the accounting.
+    LoopStats Snap = Loops[I.LoopId];
+    CP.rollback();
+    LoopStats &LS = Loops[I.LoopId];
+    LS.Kind = I.Kind;
+    LS.GuardedInvocations = Snap.GuardedInvocations;
+    LS.GuardChecks = Snap.GuardChecks;
+    LS.GuardViolations = Snap.GuardViolations;
+    ++LS.GuardFallbacks;
     if (Obs)
-      Obs->onLoopExit(LoopId);
-    return runForSerial(LoopId, Kind, IVType, EvalBounds, Body);
+      Obs->onLoopExit(I.LoopId);
+    return runForSerial(I.LoopId, I.Kind, I.IVType, I.EvalBounds, I.Body);
   }
+  CP.commit();
+  return endParallel(I, TL, Result);
+}
 
-  if (GuardActive) {
-    // Clean (or check-mode) guarded invocation: commit. The divergence scan
-    // arms the post-loop watch that catches output-dependence
-    // misclassifications the in-loop checks cannot see.
-    GuardActive = false;
-    guardCommit(GP, N);
-    guardTeardownRegions();
-    updateGuardHooks();
-  }
-  if (Speculate)
-    Mem.commitSpeculation();
+//===----------------------------------------------------------------------===//
+// Invocation checkpoint
+//===----------------------------------------------------------------------===//
 
-  rtPrivCommitAll();
-  if (Obs)
-    Obs->onLoopExit(LoopId);
+bool InvocationCheckpoint::arm() {
+  if (S.Mem.speculating())
+    return false;
+  S.Mem.beginSpeculation();
+  Armed = true;
+  Cycles = S.Cycles;
+  TimeAdjust = S.TimeAdjust;
+  Output = S.Output;
+  Loops = S.Loops;
+  RtShadow = S.RtShadow;
+  GuardWatch = S.GuardWatch;
+  RtPrivTranslations = S.RtPrivTranslations;
+  RtPrivBytesCopied = S.RtPrivBytesCopied;
+  ExitCode = S.ExitCode;
+  ReturnValue = S.ReturnValue;
+  Halted = S.Halted;
+  return true;
+}
 
-  uint64_t WorkDelta = Cycles - Before;
-  uint64_t SimTime = TL.maxReady() + Opts.Costs.ForkJoin;
+void InvocationCheckpoint::commit() {
+  if (Armed)
+    S.Mem.commitSpeculation();
+  Armed = false;
+}
 
-  LS.Iterations += Total;
-  LS.WorkCycles += WorkDelta;
-  LS.SimTime += SimTime;
-  TL.accumulate(LS);
-
-  // Program simulated time: replace this loop's work span by its simulated
-  // duration.
-  TimeAdjust +=
-      static_cast<int64_t>(SimTime) - static_cast<int64_t>(WorkDelta);
-
-  return Result;
+void InvocationCheckpoint::rollback() {
+  Armed = false;
+  S.Mem.rollbackSpeculation();
+  S.Cycles = Cycles;
+  S.TimeAdjust = TimeAdjust;
+  S.Output = std::move(Output);
+  S.Loops = std::move(Loops);
+  S.RtShadow = std::move(RtShadow);
+  S.GuardWatch = std::move(GuardWatch);
+  S.RtPrivTranslations = RtPrivTranslations;
+  S.RtPrivBytesCopied = RtPrivBytesCopied;
+  S.ExitCode = ExitCode;
+  S.ReturnValue = ReturnValue;
+  S.Halted = Halted;
+  S.Trapped = false;
+  S.TrapMessage.clear();
+  S.TrapLoopId = -1;
+  S.TrapIteration = -1;
+  S.TrapThread = -1;
+  S.GuardActive = false;
+  S.GuardTripped = false;
+  S.guardTeardownRegions();
+  S.updateGuardHooks();
 }
 
 //===----------------------------------------------------------------------===//
@@ -1213,9 +1144,7 @@ void ThreadState::resetRun() {
   GuardTripped = false;
   GuardLoop = 0;
   GuardIter = 0;
-  GuardRegions.clear();
-  GuardRegionHit = -1;
-  GuardHasComm = false;
+  guardTeardownRegions();
   GuardViolationLog.clear();
   GuardWatch.clear();
   updateGuardHooks();

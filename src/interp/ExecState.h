@@ -11,14 +11,23 @@
 /// reference interpreter and the register-bytecode VM) must agree on lives
 /// here: the runtime value representation, memory/trap/cycle accounting,
 /// builtin semantics, the runtime-privatization runtime, loop bookkeeping,
-/// and — most importantly — the counted-loop driver that implements the
-/// serial `for` semantics, the virtual-multicore DOALL/DOACROSS timeline,
-/// and (for the Threads engine) dispatch to the real host-threaded runner in
-/// ThreadedLoop.cpp. The engines differ only in how they evaluate
-/// straight-line code; every observable effect (observer callbacks, cycle
-/// charges at loop/region boundaries, allocation order, trap messages)
-/// funnels through this one implementation, which is what makes the engines
-/// bit-identical.
+/// and — most importantly — the counted-loop driver. The engines differ only
+/// in how they evaluate straight-line code; every observable effect
+/// (observer callbacks, cycle charges at loop/region boundaries, allocation
+/// order, trap messages) funnels through this one implementation, which is
+/// what makes the engines bit-identical.
+///
+/// A parallel loop invocation has one skeleton and two runners. The
+/// skeleton (runForLoop, beginParallel, endParallel) looks up the loop's
+/// guard plan once, decides the path, evaluates the bounds and trip count,
+/// sets up and commits the guard shadow, and folds the virtual timeline into
+/// the loop's stats and the program's simulated time. Between prologue and
+/// epilogue, runForParallel (ExecState.cpp) runs the iterations inline in
+/// serial order, dispatching each to its virtual thread through
+/// ParallelTimeline; runForThreaded (ThreadedLoop.cpp) runs them on host
+/// workers and replays their recorded work through the same timeline after
+/// the join. Both recovery paths — a Fallback-mode guard trip and a DOACROSS
+/// watchdog wedge — roll back through one InvocationCheckpoint.
 ///
 /// A ThreadState is one virtual hardware thread: it owns its cycle counter,
 /// frame/output/trap state, ordered-event buffer, and guard-shadow shard,
@@ -114,6 +123,7 @@ inline unsigned scalarSize(ScalarKind K) {
 
 struct ThreadState;
 struct DoacrossSync;
+struct ParallelTimeline;
 
 /// How an engine hands the host-threaded loop runner the means to execute
 /// body iterations on worker ThreadStates. Supplied by the bytecode engine's
@@ -240,7 +250,9 @@ struct ThreadState {
   bool GuardHasComm = false;
 
   bool GuardActive = false;  ///< inside a guarded parallel invocation
-  bool GuardTripped = false; ///< violation seen in this invocation (fallback)
+  /// An in-loop violation in this Fallback invocation (set by
+  /// guardViolation): the attempt rolls back at the iteration boundary.
+  bool GuardTripped = false;
   bool GuardHooksOn = false; ///< GuardActive || !GuardWatch.empty()
   unsigned GuardLoop = 0;    ///< loop id of the active guarded invocation
   uint64_t GuardIter = 0;    ///< current iteration, for shadow stamps
@@ -470,35 +482,88 @@ struct ThreadState {
   void resetRun();
 
 private:
+  friend class InvocationCheckpoint;
+
+  /// One parallel invocation as both runners see it: the loop, its guard
+  /// plan, and — once beginParallel has run — its bounds, trip count and
+  /// the cycle count before the bounds were evaluated.
+  struct ParallelInvocation {
+    unsigned LoopId;
+    ParallelKind Kind;
+    Type *IVType;
+    BoundsFn EvalBounds;
+    BodyFn Body;
+    unsigned N; ///< virtual threads
+    /// Null when unguarded, or when none of the plan's regions is live.
+    const GuardPlan *GP;
+    ForBounds B = {};
+    uint64_t Total = 0;
+    uint64_t Before = 0;
+  };
+
   Flow runForSerial(unsigned LoopId, ParallelKind Kind, Type *IVType,
                     BoundsFn EvalBounds, BodyFn Body);
-  Flow runForParallel(unsigned LoopId, ParallelKind Kind, Type *IVType,
-                      BoundsFn EvalBounds, BodyFn Body);
+  /// The simulated runner: iterations in serial order, each dispatched to
+  /// its virtual thread on the timeline.
+  Flow runForParallel(ParallelInvocation I);
   /// The real host-threaded runner (ThreadedLoop.cpp). Bit-identical virtual
-  /// metrics to runForParallel on every eligible loop. \p Body is the serial
-  /// body thunk, kept for the watchdog recovery path (a wedged DOACROSS
-  /// attempt rolls back and re-runs through runForParallel). \p Pool is the
+  /// metrics to runForParallel on every eligible loop; a wedged DOACROSS
+  /// attempt rolls back and re-runs through runForParallel. \p Pool is the
   /// already-materialized worker pool (runForLoop resolved it; a null pool
   /// degrades before ever reaching here).
-  Flow runForThreaded(unsigned LoopId, ParallelKind Kind, Type *IVType,
-                      BoundsFn EvalBounds, BodyFn Body,
-                      const ThreadLoopHooks &Host, ThreadPool &Pool);
+  Flow runForThreaded(ParallelInvocation I, const ThreadLoopHooks &Host,
+                      ThreadPool &Pool);
   /// ThreadedPath::Threaded when this invocation can run on real host
   /// threads, otherwise the first reason it cannot (never PoolUnavailable:
   /// runForLoop learns that only when it asks for the pool).
-  ThreadedPath threadedEligible(unsigned LoopId, ParallelKind Kind,
+  ThreadedPath threadedEligible(const ParallelInvocation &I,
                                 const ThreadLoopHooks *Host) const;
+  /// The shared prologue: loop stats, bounds, the step trap, the trip count,
+  /// the observer's loop entry, and the guard shadow (clearing I.GP when no
+  /// region is live). False when the invocation must end with Flow::Halt.
+  bool beginParallel(ParallelInvocation &I);
+  /// The shared epilogue: guard commit, rtpriv commit, the observer's loop
+  /// exit, and the timeline folded into the loop's stats and TimeAdjust.
+  Flow endParallel(const ParallelInvocation &I, const ParallelTimeline &TL,
+                   Flow Result);
 
   // Guarded-execution internals (ExecState.cpp). ThreadedLoop.cpp reuses
-  // guardSetupRegions/guardCommit and the merge helpers below.
+  // guardCommit and logViolation.
   GuardRegion *guardRegionContaining(uint64_t Addr);
   void guardSetupRegions(const GuardPlan *GP, unsigned NumThreads);
   void guardTeardownRegions();
+  /// Arms the post-loop watch from the shadow, then drops the shadow.
   void guardCommit(const GuardPlan *GP, unsigned NumThreads);
   void guardWatchLoad(uint64_t Addr, uint64_t Size);
   void guardWatchStore(uint64_t Addr, uint64_t Size);
+  /// The one violation recorder: counts the occurrence, trips a Fallback
+  /// attempt on an in-loop violation, and logs it.
   void guardViolation(ViolationKind K, unsigned LoopId, unsigned Class,
                       uint64_t Iter, int Tid, uint64_t Addr, uint32_t Access);
+  /// An in-loop violation of the active invocation's current iteration.
+  void guardViolation(ViolationKind K, unsigned Class, uint64_t Addr,
+                      uint32_t Access) {
+    guardViolation(K, GuardLoop, Class, GuardIter, CurTid, Addr, Access);
+  }
+  /// De-duplicates \p V into GuardViolationLog by (loop, class, kind) and
+  /// reports a new entry once (unless SuppressGuardDiags).
+  void logViolation(const DependenceViolation &V);
+  /// The claim the active guarded loop's plan makes on access \p Id, or null.
+  const ProgramContext::GuardAccess *guardAccess(uint32_t Id) const {
+    if (Id == InvalidAccessId)
+      return nullptr;
+    auto It = P.GuardAccessMap.find(Id);
+    return It != P.GuardAccessMap.end() && It->second.LoopId == GuardLoop
+               ? &It->second
+               : nullptr;
+  }
+  /// True when [Addr, Addr + Size) leaves this thread's copy of \p R.
+  bool escapesSpan(const GuardRegion &R, uint64_t Addr, uint64_t Size) const {
+    uint64_t Tid = static_cast<uint64_t>(CurTid);
+    uint64_t Last = Size ? Size - 1 : 0;
+    return (Addr - R.Base) / R.Span != Tid ||
+           (Addr - R.Base + Last) / R.Span != Tid;
+  }
   void updateGuardHooks() {
     GuardHooksOn = GuardActive || !GuardWatch.empty();
   }
@@ -506,9 +571,42 @@ private:
   int GuardRegionHit = -1;
 };
 
-/// Historical name: ExecState was split into ProgramContext + ThreadState;
-/// the per-thread half keeps the semantic role the old monolith had.
-using ExecState = ThreadState;
+/// The one rollback point of a parallel invocation, serving both recovery
+/// paths: a Fallback-mode guard trip (re-run serially) and a DOACROSS
+/// watchdog wedge (re-run on the simulated path). arm() snapshots VM memory
+/// (VMMemory speculation) and every run field an invocation can change;
+/// rollback() restores that pre-invocation world exactly, with no trap and
+/// no guard shadow; commit() keeps the current state. A checkpoint still
+/// armed when it goes out of scope commits.
+class InvocationCheckpoint {
+public:
+  explicit InvocationCheckpoint(ThreadState &S) : S(S) {}
+  InvocationCheckpoint(const InvocationCheckpoint &) = delete;
+  InvocationCheckpoint &operator=(const InvocationCheckpoint &) = delete;
+  ~InvocationCheckpoint() { commit(); }
+
+  /// Takes the checkpoint, unless VM memory is already speculating under an
+  /// enclosing one; returns armed().
+  bool arm();
+  bool armed() const { return Armed; }
+  void commit();
+  void rollback();
+
+private:
+  ThreadState &S;
+  bool Armed = false;
+  uint64_t Cycles = 0;
+  int64_t TimeAdjust = 0;
+  std::string Output;
+  std::map<unsigned, LoopStats> Loops;
+  std::map<std::pair<int, uint64_t>, uint64_t> RtShadow;
+  std::map<uint64_t, ThreadState::GuardWatchByte> GuardWatch;
+  uint64_t RtPrivTranslations = 0;
+  uint64_t RtPrivBytesCopied = 0;
+  int64_t ExitCode = 0;
+  VMValue ReturnValue;
+  bool Halted = false;
+};
 
 } // namespace gdse
 

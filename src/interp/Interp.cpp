@@ -8,7 +8,7 @@
 // The reference execution engine: walks the IR tree directly, re-dispatching
 // on node kinds for every operand. All semantics shared with the bytecode VM
 // (memory, builtins, loop drivers, the multicore timeline) live in
-// ExecState; this file contains only expression/statement evaluation. The
+// ThreadState; this file contains only expression/statement evaluation. The
 // bytecode engine (Bytecode.cpp) must match it bit-for-bit on non-trapping
 // runs — EngineDiffTest holds the two together.
 //
@@ -67,7 +67,7 @@ struct ContextHolder {
 /// Impl *is* the main thread's state (so evaluator code reads fields
 /// directly), and the ContextHolder base owns the shared program half that
 /// worker ThreadStates of host-threaded loops attach to.
-struct Interp::Impl : ContextHolder, ExecState {
+struct Interp::Impl : ContextHolder, ThreadState {
   using Value = VMValue;
 
   struct Frame {
@@ -82,7 +82,7 @@ struct Interp::Impl : ContextHolder, ExecState {
   std::shared_ptr<const BytecodeModule> BC;
 
   Impl(Module &M, InterpOptions O)
-      : ContextHolder(M, std::move(O)), ExecState(PC) {
+      : ContextHolder(M, std::move(O)), ThreadState(PC) {
     BC = Opts.Precompiled;
   }
 

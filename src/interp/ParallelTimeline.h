@@ -30,12 +30,18 @@ namespace gdse {
 struct ParallelTimeline {
   const CostModel &CM;
   unsigned N;
+  bool DOALL;
+  /// Iterations per static DOALL chunk (1 under DOACROSS).
+  uint64_t Chunk;
   std::vector<uint64_t> Ready, Work, Stall, Dispatch;
   /// Ordered region id -> virtual time at which the region becomes free.
   std::map<unsigned, uint64_t> RegionFree;
 
-  ParallelTimeline(const CostModel &CM, unsigned N, bool DOALL)
-      : CM(CM), N(N), Ready(N, 0), Work(N, 0), Stall(N, 0), Dispatch(N, 0) {
+  ParallelTimeline(const CostModel &CM, unsigned N, bool DOALL,
+                   uint64_t Total)
+      : CM(CM), N(N), DOALL(DOALL),
+        Chunk(DOALL ? std::max<uint64_t>(1, (Total + N - 1) / N) : 1),
+        Ready(N, 0), Work(N, 0), Stall(N, 0), Dispatch(N, 0) {
     if (DOALL)
       for (unsigned T = 0; T != N; ++T) {
         Ready[T] = CM.ChunkStartup;
@@ -43,9 +49,13 @@ struct ParallelTimeline {
       }
   }
 
-  /// DOACROSS dispatch: the next iteration goes to the earliest-ready
-  /// virtual thread and pays the dispatch overhead up front.
-  unsigned dispatchDoacross() {
+  /// The virtual thread that runs iteration \p It; iterations are dispatched
+  /// once each, in ascending order. DOALL: the owner of It's static chunk
+  /// (thread T owns [T*Chunk, (T+1)*Chunk)). DOACROSS: the earliest-ready
+  /// thread, which pays the dispatch overhead up front.
+  unsigned dispatch(uint64_t It) {
+    if (DOALL)
+      return static_cast<unsigned>(std::min<uint64_t>(It / Chunk, N - 1));
     unsigned T = 0;
     for (unsigned I = 1; I != N; ++I)
       if (Ready[I] < Ready[T])

@@ -459,7 +459,9 @@ bool carriesFrameSlot(Function *F, ForStmt *FS) {
 ProgramContext::ProgramContext(Module &M, InterpOptions O)
     : M(M), Ctx(M.getTypes()), Opts(std::move(O)),
       RegisterVars(collectRegisterVars(M)) {
-  if (Opts.Guard != GuardMode::Off) {
+  // Guard shadows store thread ids as int8, so guarding is skipped outright
+  // beyond 127 threads (no such configuration exists in practice).
+  if (Opts.Guard != GuardMode::Off && Opts.NumThreads <= 127) {
     for (const auto &GP : Opts.GuardPlans) {
       if (!GP || GP->empty())
         continue;

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared half of the ExecState split: everything about a run that is
+/// The shared half of the execution-state split: everything about a run that is
 /// program-wide rather than per-thread. One ProgramContext is built per
 /// Interp instance and is read (never written) by every ThreadState
 /// executing over it, which is what lets the host-threaded loop runner
@@ -75,7 +75,9 @@ struct ProgramContext {
   std::set<const VarDecl *> RegisterVars;
 
   /// Merged lookup over Opts.GuardPlans: access id -> (loop, class) for
-  /// every claimed-private access of every guarded loop. Commutative entries
+  /// every claimed-private access of every guarded loop, built (like the
+  /// plan lookup behind guardPlanFor) only when guarding is on and the
+  /// thread count fits the shadow's int8 thread ids. Commutative entries
   /// are members of proven-commutative (reduction) classes: their region is
   /// validated in commit-time-merge mode (span containment plus foreign-touch
   /// watching) instead of carrying a first-write shadow.
@@ -85,8 +87,6 @@ struct ProgramContext {
     bool Commutative = false;
   };
   std::map<uint32_t, GuardAccess> GuardAccessMap;
-  /// Loop id -> plan (owned by Opts.GuardPlans).
-  std::map<unsigned, const GuardPlan *> GuardPlanOf;
 
   /// Static facts about each counted loop's body (transitively through
   /// callees), computed once at construction. The host-threaded runner
@@ -143,6 +143,14 @@ struct ProgramContext {
     return It == LoopTraitsOf.end() ? nullptr : &It->second;
   }
 
+  /// The plan guarding loop \p LoopId's parallel invocations, or null when
+  /// the loop is unguarded (no plan, GuardMode::Off, or more than 127
+  /// threads).
+  const GuardPlan *guardPlanFor(unsigned LoopId) const {
+    auto It = GuardPlanOf.find(LoopId);
+    return It == GuardPlanOf.end() ? nullptr : It->second;
+  }
+
   /// Deallocates and re-allocates zeroed globals (run start).
   void resetGlobals();
 
@@ -157,6 +165,8 @@ struct ProgramContext {
   ThreadPool *loopPoolOrNull();
 
 private:
+  /// Loop id -> plan (owned by Opts.GuardPlans).
+  std::map<unsigned, const GuardPlan *> GuardPlanOf;
   std::map<const Function *, FrameLayout> Layouts;
   std::unique_ptr<ThreadPool> LoopPool;
   std::mutex LoopPoolMu;

@@ -5,10 +5,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The real host-threaded runner behind ExecEngine::Threads. Where the
-// simulated path (ExecState.cpp) executes iterations in serial order and
-// *computes* an N-core timeline, this runner actually dispatches them to N
-// worker ThreadStates over the shared VMMemory:
+// The real host-threaded runner behind ExecEngine::Threads: the threaded
+// half of the one parallel-invocation skeleton (ExecState.h). The skeleton's
+// prologue (beginParallel), epilogue (endParallel), guard setup and commit,
+// and InvocationCheckpoint are shared with the simulated runner
+// (ExecState.cpp), which executes iterations in serial order and *computes*
+// the N-core timeline. What is this runner's own is worker dispatch and the
+// replay of what the workers recorded. It dispatches iterations to N worker
+// ThreadStates over the shared VMMemory:
 //
 //  - DOALL: the same static chunking as the virtual schedule
 //    (Chunk = ceil(Total/N), thread T owns [T*Chunk, (T+1)*Chunk)), one pool
@@ -53,22 +57,26 @@
 // peak-memory replay (per-iteration allocation deltas re-run in iteration
 // order), frame byte-diffs (last-writing chunk wins, as in serial order),
 // guard-shadow merge (latest-iteration byte wins) followed by the ordinary
-// commit scan, and the virtual timeline replay through the exact arithmetic
-// the simulated path uses (ParallelTimeline.h). On loop invocations that
-// complete normally, every virtual metric is therefore bit-identical to the
-// serial engines (EngineDiffTest enforces this); on invocations that trap or
-// halt mid-loop, iterations past the (lowest) faulting one may or may not
-// have run on other workers, so — as with the bytecode engine's existing
-// trap-run license (Bytecode.h) — cycle totals, output, and side effects
-// past the fault may diverge, while the trap message itself keeps exact
-// loop/iteration attribution.
+// commit scan, worker violation logs folded through the serial recorder
+// (logViolation), and the virtual timeline replay through the exact
+// arithmetic the simulated path uses (ParallelTimeline.h). A DOACROSS
+// attempt whose ticket frontier wedges is not merged at all: the watchdog
+// rolls the shared InvocationCheckpoint back and the invocation re-runs on
+// the simulated path.
+//
+// On loop invocations that complete normally, every virtual metric is
+// therefore bit-identical to the serial engines (EngineDiffTest enforces
+// this); on invocations that trap or halt mid-loop, iterations past the
+// (lowest) faulting one may or may not have run on other workers, so — as
+// with the bytecode engine's existing trap-run license (Bytecode.h) — cycle
+// totals, output, and side effects past the fault may diverge, while the
+// trap message itself keeps exact loop/iteration attribution.
 //
 //===----------------------------------------------------------------------===//
 
 #include "interp/ExecState.h"
 
 #include "interp/ParallelTimeline.h"
-#include "support/Diagnostics.h"
 #include "support/Support.h"
 #include "support/ThreadPool.h"
 
@@ -215,7 +223,7 @@ struct IterRec {
   int64_t MemNet = 0;              ///< net tracked bytes allocated
   int64_t MemMaxPrefix = 0;        ///< max net-bytes prefix within the iter
   Flow FL = Flow::Normal;
-  int Worker = -1;
+  unsigned Worker = 0; ///< meaningful once Ran
   bool Ran = false;
 };
 
@@ -232,96 +240,29 @@ struct WorkerCtx {
 
 } // namespace
 
-Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
-                                 Type *IVType, BoundsFn EvalBounds,
-                                 BodyFn Body, const ThreadLoopHooks &Host,
+Flow ThreadState::runForThreaded(ParallelInvocation I,
+                                 const ThreadLoopHooks &Host,
                                  ThreadPool &Pool) {
-  const unsigned N = static_cast<unsigned>(std::max(1, Opts.NumThreads));
-  const bool DOALL = Kind == ParallelKind::DOALL;
-
-  // Guard plan lookup mirrors the simulated path; eligibility already
-  // restricted guarded invocations to DOALL + Check mode.
-  const GuardPlan *GP = nullptr;
-  if (Opts.Guard != GuardMode::Off && N <= 127) {
-    auto GIt = P.GuardPlanOf.find(LoopId);
-    if (GIt != P.GuardPlanOf.end())
-      GP = GIt->second;
-  }
-
-  const ProgramContext::LoopTraits *Traits = P.loopTraits(LoopId);
+  const bool DOALL = I.Kind == ParallelKind::DOALL;
+  // Eligibility guarantees the traits (a loop without them is simulated).
+  const ProgramContext::LoopTraits &Traits = *P.loopTraits(I.LoopId);
   const uint64_t WatchdogMs =
-      !DOALL && Traits && !Traits->RegionIds.empty()
-          ? Opts.Resilience.WatchdogMs
-          : 0;
+      !DOALL && !Traits.RegionIds.empty() ? Opts.Resilience.WatchdogMs : 0;
 
   // Watchdog recovery checkpoint: a wedged DOACROSS attempt must be able to
   // roll back to the pre-invocation world and re-run on the simulated path,
   // bit-identical to a clean serial-order run. Armed before any of this
   // invocation's bookkeeping (stats, bounds evaluation) for exactly that
-  // reason. Eligibility already excludes observers, guard plans, rtpriv,
-  // and armed watches from threaded DOACROSS, so the scalar state below is
-  // the complete mutable set.
-  bool SpecArmed = false;
-  uint64_t SavedCycles = 0;
-  int64_t SavedTimeAdjust = 0;
-  std::string SavedOutput;
-  std::map<unsigned, LoopStats> SavedLoops;
-  int64_t SavedExitCode = 0;
-  VMValue SavedReturnValue;
-  bool SavedHalted = false;
-  if (WatchdogMs && !Mem.speculating()) {
-    Mem.beginSpeculation();
-    SpecArmed = true;
-    SavedCycles = Cycles;
-    SavedTimeAdjust = TimeAdjust;
-    SavedOutput = Output;
-    SavedLoops = Loops;
-    SavedExitCode = ExitCode;
-    SavedReturnValue = ReturnValue;
-    SavedHalted = Halted;
-  }
-
-  LoopStats &LS = Loops[LoopId];
-  LS.Kind = Kind;
-  ++LS.Invocations;
-  // Counted after the checkpoint, so a watchdog re-run records only its own
-  // path.
-  ++LS.Paths[static_cast<unsigned>(ThreadedPath::Threaded)];
-  if (LS.WorkPerThread.size() != N) {
-    LS.WorkPerThread.assign(N, 0);
-    LS.SyncStallPerThread.assign(N, 0);
-    LS.IdlePerThread.assign(N, 0);
-    LS.DispatchPerThread.assign(N, 0);
-  }
-
-  uint64_t Before = Cycles;
-  ForBounds B;
-  EvalBounds(B);
-  if (dead()) {
-    if (SpecArmed)
-      Mem.commitSpeculation();
+  // reason.
+  InvocationCheckpoint CP(*this);
+  if (WatchdogMs)
+    CP.arm();
+  if (!beginParallel(I))
     return Flow::Halt;
-  }
-  if (B.Step <= 0) {
-    trap("parallel for loop with non-positive step");
-    if (SpecArmed)
-      Mem.commitSpeculation();
-    return Flow::Halt;
-  }
-  uint64_t Total =
-      B.Hi > B.Lo ? static_cast<uint64_t>((B.Hi - B.Lo + B.Step - 1) / B.Step)
-                  : 0;
-
-  if (GP) {
-    guardSetupRegions(GP, N);
-    if (GuardRegions.empty())
-      GP = nullptr;
-    else
-      ++LS.GuardedInvocations;
-  }
-
-  const uint64_t Chunk =
-      DOALL ? std::max<uint64_t>(1, (Total + N - 1) / N) : 1;
+  const uint64_t Total = I.Total;
+  const ForBounds &B = I.B;
+  ParallelTimeline TL(Opts.Costs, I.N, DOALL, Total);
+  const uint64_t Chunk = TL.Chunk;
   Flow Result = Flow::Normal;
   std::vector<IterRec> Recs(Total);
   std::vector<WorkerCtx> Workers;
@@ -332,8 +273,8 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
   if (Total != 0) {
     const unsigned NumWorkers =
         DOALL ? static_cast<unsigned>(
-                    std::min<uint64_t>((Total + Chunk - 1) / Chunk, N))
-              : N;
+                    std::min<uint64_t>((Total + Chunk - 1) / Chunk, I.N))
+              : I.N;
 
     // The frame state every chunk starts from: the enclosing frame exactly
     // as iteration 0 would see it (bounds already evaluated).
@@ -343,15 +284,13 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
     const uint64_t IVOff = B.IVAddr - Host.FrameBase;
     const uint64_t MemStart = Mem.currentBytes();
 
-    static const std::vector<unsigned> NoRegions;
-    DoacrossSync Sync(Traits ? Traits->RegionIds : NoRegions, Total,
-                      WatchdogMs);
+    DoacrossSync Sync(Traits.RegionIds, Total, WatchdogMs);
     std::atomic<uint64_t> NextGrab{0};
     std::atomic<bool> Abort{false};
 
     // Per-worker buffers are sized here, on the calling thread, so the
     // workers' steady state stays off the host allocator.
-    const size_t Regions = Traits ? Traits->RegionIds.size() : 0;
+    const size_t Regions = Traits.RegionIds.size();
     const size_t EvReserve =
         Regions ? (Total / NumWorkers + 1) * 2 * Regions : 0;
     Workers.resize(NumWorkers);
@@ -367,9 +306,9 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
       WS.RecordOrdered = !DOALL;
       if (!DOALL)
         WS.DX = &Sync;
-      if (GP) {
+      if (I.GP) {
         WS.GuardActive = true;
-        WS.GuardLoop = LoopId;
+        WS.GuardLoop = I.LoopId;
         WS.GuardRegions = GuardRegions; // private first-write shadow copy
         WS.GuardHasComm = GuardHasComm;
         WS.updateGuardHooks();
@@ -380,11 +319,10 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
       std::memcpy(reinterpret_cast<void *>(W.FrameBase), FrameSnap.data(),
                   Host.FrameSize);
       W.Body = Host.MakeWorker(WS, W.FrameBase);
-      if (Traits)
-        for (unsigned Id : Traits->InnerLoopIds)
-          WS.Loops[Id];
+      for (unsigned Id : Traits.InnerLoopIds)
+        WS.Loops[Id];
       WS.LoopCtxStack.reserve(8);
-      WS.LoopCtxStack.push_back({LoopId, 0});
+      WS.LoopCtxStack.push_back({I.LoopId, 0});
       WS.OrderedEvents.reserve(EvReserve);
     }
 
@@ -393,6 +331,8 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
       MemWorker &WM = MemWs[T];
       ThreadState &WS = *W.WS;
       IterRec &R = Recs[It];
+      R.Worker = T;
+      R.Ran = true;
       WS.LoopCtxStack.back().Iter = It;
       WS.GuardIter = It;
       WS.DXIter = It;
@@ -401,27 +341,22 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
       // simulated path), so a breach is an attributed trap, not a rung of
       // the ladder — re-running would breach again.
       if (!WS.checkBudget()) {
-        R.Worker = static_cast<int>(WS.CurTid);
-        R.Ran = true;
         R.FL = Flow::Halt;
         Abort.store(true, std::memory_order_relaxed);
         return false;
       }
       int64_t IVal = B.Lo + static_cast<int64_t>(It) * B.Step;
-      WS.storeScalar(W.FrameBase + IVOff, IVType, VMValue::ofInt(IVal));
+      WS.storeScalar(W.FrameBase + IVOff, I.IVType, VMValue::ofInt(IVal));
       R.OutBegin = WS.Output.size();
       R.EvBegin = WS.OrderedEvents.size();
       WS.IterStartCycles = WS.Cycles;
       WM.Sink.beginIter();
-      uint64_t C0 = WS.Cycles;
       Flow FL = W.Body();
-      R.W = WS.Cycles - C0;
+      R.W = WS.Cycles - WS.IterStartCycles;
       R.EvEnd = WS.OrderedEvents.size();
       R.OutEnd = WS.Output.size();
       R.MemNet = WM.Sink.Cur;
       R.MemMaxPrefix = WM.Sink.MaxPrefix;
-      R.Worker = static_cast<int>(WS.CurTid);
-      R.Ran = true;
       W.LastIter = It;
       if (FL == Flow::Break || FL == Flow::Return) {
         WS.trap("break/return escaping a parallel loop");
@@ -482,7 +417,7 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
     Mem.endConcurrent();
 
     const bool WedgeFired = Sync.Wedged.load(std::memory_order_relaxed);
-    if (WedgeFired && SpecArmed) {
+    if (WedgeFired && CP.armed()) {
       // Watchdog recovery: the frontier wedged, every worker has drained.
       // Abandon the whole attempt — no merge, no trap transfer — roll the
       // world back to the pre-invocation checkpoint and re-run the
@@ -491,22 +426,18 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
       // the rollback would otherwise reclaim behind releaseUntracked's back.
       for (WorkerCtx &W : Workers)
         Mem.releaseUntracked(W.FrameBase);
-      Mem.rollbackSpeculation();
-      Cycles = SavedCycles;
-      TimeAdjust = SavedTimeAdjust;
-      Output = std::move(SavedOutput);
-      Loops = std::move(SavedLoops);
-      ExitCode = SavedExitCode;
-      ReturnValue = SavedReturnValue;
-      Halted = SavedHalted;
-      ++Loops[LoopId].Paths[static_cast<unsigned>(ThreadedPath::WatchdogRerun)];
+      CP.rollback();
+      // runForLoop counted this invocation threaded before the checkpoint.
+      uint64_t *Paths = Loops[I.LoopId].Paths;
+      --Paths[static_cast<unsigned>(ThreadedPath::Threaded)];
+      ++Paths[static_cast<unsigned>(ThreadedPath::WatchdogRerun)];
       noteDegradation(
-          LoopId, /*Watchdog=*/true,
+          I.LoopId, /*Watchdog=*/true,
           formatString("DOACROSS watchdog fired (no lane progress within "
                        "%llu ms); re-running the invocation on the "
                        "simulated serial-order path",
                        static_cast<unsigned long long>(WatchdogMs)));
-      return runForParallel(LoopId, Kind, IVType, EvalBounds, Body);
+      return runForParallel(I); // no guard plan: I re-enters unchanged
     }
 
     //===------------------------------------------------------------------===//
@@ -527,8 +458,8 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
       if (!R.Ran)
         continue;
       Cycles += R.W;
-      Output.append(Workers[static_cast<unsigned>(R.Worker)].WS->Output,
-                    R.OutBegin, R.OutEnd - R.OutBegin);
+      Output.append(Workers[R.Worker].WS->Output, R.OutBegin,
+                    R.OutEnd - R.OutBegin);
     }
 
     // Peak-memory replay: re-run the per-iteration allocation deltas in
@@ -586,7 +517,7 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
       }
     }
 
-    if (GP) {
+    if (I.GP) {
       // Guard-shadow merge. A region survives only if no worker freed its
       // block mid-loop (guardFree drops it from that worker's copy); for
       // survivors, each byte takes the stamp of the latest-iteration writer
@@ -596,15 +527,13 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
       for (GuardRegion &R : GuardRegions) {
         std::vector<const GuardRegion *> Copies;
         for (unsigned T = 0; T != NumWorkers; ++T) {
-          const GuardRegion *Found = nullptr;
-          for (const GuardRegion &C : Workers[T].WS->GuardRegions)
-            if (C.Base == R.Base) {
-              Found = &C;
-              break;
-            }
-          if (!Found)
+          const std::vector<GuardRegion> &WR = Workers[T].WS->GuardRegions;
+          auto C = std::find_if(
+              WR.begin(), WR.end(),
+              [&](const GuardRegion &G) { return G.Base == R.Base; });
+          if (C == WR.end())
             break;
-          Copies.push_back(Found);
+          Copies.push_back(&*C);
         }
         if (Copies.size() != NumWorkers)
           continue;
@@ -637,9 +566,10 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
       GuardRegionHit = -1;
 
       // Violation-log merge: workers already deduped per (loop, class,
-      // kind); fold their entries in first-occurrence iteration order so the
-      // surviving attribution matches what a serial scan would have kept,
-      // and report each genuinely new entry once.
+      // kind); fold their entries through the serial recorder in
+      // first-occurrence iteration order, so the surviving attribution
+      // matches what a serial scan would have kept and each genuinely new
+      // entry is reported once.
       std::vector<DependenceViolation> All;
       for (unsigned T = 0; T != NumWorkers; ++T)
         All.insert(All.end(), Workers[T].WS->GuardViolationLog.begin(),
@@ -649,27 +579,8 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
                           const DependenceViolation &C) {
                          return A.Iteration < C.Iteration;
                        });
-      for (const DependenceViolation &V : All) {
-        bool Dup = false;
-        for (DependenceViolation &E : GuardViolationLog)
-          if (E.LoopId == V.LoopId && E.ClassIndex == V.ClassIndex &&
-              E.Kind == V.Kind) {
-            E.Count += V.Count;
-            Dup = true;
-            break;
-          }
-        if (Dup)
-          continue;
-        GuardViolationLog.push_back(V);
-        if (Opts.GuardDiags) {
-          Diagnostic D;
-          D.Severity = DiagSeverity::Error; // threaded guarding is Check-only
-          D.Pass = "guard";
-          D.LoopId = V.LoopId;
-          D.Message = V.str();
-          Opts.GuardDiags->report(std::move(D));
-        }
-      }
+      for (const DependenceViolation &V : All)
+        logViolation(V);
     }
 
     // Trap/halt transfer: the lowest faulting iteration wins; its worker's
@@ -677,11 +588,7 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
     // message by ThreadState::trap on the worker.
     if (AbnIt != UINT64_MAX) {
       Result = Flow::Halt;
-      ThreadState &WS = *Workers[static_cast<unsigned>(
-                                     Recs[AbnIt].Worker < 0
-                                         ? 0
-                                         : Recs[AbnIt].Worker)]
-                             .WS;
+      ThreadState &WS = *Workers[Recs[AbnIt].Worker].WS;
       if (WS.Trapped && !Trapped) {
         Trapped = true;
         TrapMessage = WS.TrapMessage;
@@ -701,7 +608,7 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
     // speculating) ends the run with the worker's attributed watchdog trap
     // transferred above.
     if (WedgeFired)
-      ++LS.WatchdogFires;
+      ++Loops[I.LoopId].WatchdogFires;
 
     for (WorkerCtx &W : Workers)
       Mem.releaseUntracked(W.FrameBase);
@@ -709,45 +616,20 @@ Flow ThreadState::runForThreaded(unsigned LoopId, ParallelKind Kind,
 
   // The attempt stands (clean, or a real program trap/halt/budget breach):
   // keep its state and drop the recovery checkpoint.
-  if (SpecArmed)
-    Mem.commitSpeculation();
-
-  if (GP) {
-    // Same epilogue as a simulated guarded invocation: the commit scan over
-    // the (merged) shadow arms the post-loop watch, then the shadow goes
-    // away. Runs for Total == 0 too (fresh shadow, no-op scan).
-    guardCommit(GP, N);
-    guardTeardownRegions();
-    updateGuardHooks();
-  }
-
-  rtPrivCommitAll();
+  CP.commit();
 
   // Virtual timeline replay: identical arithmetic, fed in iteration order.
   // The faulting iteration (when one exists) contributes its work cycles and
   // output above but not a timeline completion — exactly where the simulated
   // path breaks out of its iteration loop.
-  ParallelTimeline TL(Opts.Costs, N, DOALL);
   for (uint64_t It = 0; It != Total && It < AbnIt; ++It) {
     const IterRec &R = Recs[It];
     if (!R.Ran)
       continue;
-    unsigned T =
-        DOALL ? static_cast<unsigned>(std::min<uint64_t>(It / Chunk, N - 1))
-              : TL.dispatchDoacross();
     const std::vector<OrderedEvent> &Ev =
-        Workers[static_cast<unsigned>(R.Worker)].WS->OrderedEvents;
-    TL.completeIter(T, R.W, Ev.data() + R.EvBegin, R.EvEnd - R.EvBegin);
+        Workers[R.Worker].WS->OrderedEvents;
+    TL.completeIter(TL.dispatch(It), R.W, Ev.data() + R.EvBegin,
+                    R.EvEnd - R.EvBegin);
   }
-
-  uint64_t WorkDelta = Cycles - Before;
-  uint64_t SimTime = TL.maxReady() + Opts.Costs.ForkJoin;
-  LS.Iterations += Total;
-  LS.WorkCycles += WorkDelta;
-  LS.SimTime += SimTime;
-  TL.accumulate(LS);
-  TimeAdjust +=
-      static_cast<int64_t>(SimTime) - static_cast<int64_t>(WorkDelta);
-
-  return Result;
+  return endParallel(I, TL, Result);
 }

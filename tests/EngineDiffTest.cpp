@@ -541,20 +541,6 @@ int main() {
   return 0;
 })";
 
-TEST(ThreadsEngine, DoacrossOrderedRegions) {
-  // DOACROSS under real threads: iterations run concurrently, ordered
-  // regions serialize through cross-iteration tickets, and the replayed
-  // timeline (SimTime, per-thread stall vectors) must still be bit-identical
-  // to the simulated schedule.
-  std::unique_ptr<Module> M =
-      parseMiniCOrDie(OrderedRegionsSrc, "threads-doacross");
-  for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
-    PipelineResult PR = CompilationSession(*M).compileLoop(LoopId);
-    ASSERT_TRUE(PR.Ok) << firstError(PR);
-  }
-  diffThreadsModule(*M, "threads-doacross");
-}
-
 TEST(ThreadsEngine, TrapInParallelLoopAttribution) {
   // A trap inside a host-threaded DOALL: the lowest faulting iteration must
   // win, with exact loop/iteration attribution in the message and the
@@ -713,6 +699,34 @@ ThreadedPath pathOf(const RunResult &R, unsigned LoopId) {
 }
 
 std::string pathName(ThreadedPath P) { return threadedPathName(P); }
+
+TEST(ThreadsEngine, DoacrossOrderedRegions) {
+  // DOACROSS under real threads: iterations run concurrently, ordered
+  // regions serialize through cross-iteration tickets, and the replayed
+  // timeline (SimTime, per-thread stall vectors) must still be bit-identical
+  // to the simulated schedule. The static graph keeps the running sum in an
+  // ordered region; the profiled one would fold it into a reduction (DOALL).
+  std::unique_ptr<Module> M =
+      parseMiniCOrDie(OrderedRegionsSrc, "threads-doacross");
+  PipelineOptions PO;
+  PO.Source = GraphSource::Static;
+  for (unsigned LoopId : CompilationSession(*M).candidateLoops()) {
+    PipelineResult PR = CompilationSession(*M).compileLoop(LoopId, PO);
+    ASSERT_TRUE(PR.Ok) << firstError(PR);
+    ASSERT_GE(PR.Plan.OrderedRegions, 1u);
+  }
+  auto [LoopId, Kind] = parallelLoop(*M);
+  ASSERT_EQ(Kind, ParallelKind::DOACROSS);
+  diffThreadsModule(*M, "threads-doacross");
+  for (int N : {2, 4}) {
+    RunResult R = runNoObs(*M, ExecEngine::Threads, N).R;
+    ASSERT_TRUE(R.Loops.count(LoopId));
+    EXPECT_GE(R.Loops.at(LoopId)
+                  .Paths[static_cast<unsigned>(ThreadedPath::Threaded)],
+              1u)
+        << "threads@" << N;
+  }
+}
 
 // DoacrossOrderedRegions with the running value `out` a local of main.
 // Workers run on private frame copies whose bytes the join merges, so run

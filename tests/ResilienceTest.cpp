@@ -159,8 +159,9 @@ std::unique_ptr<Module> transformed(const char *Src, ParallelKind Expect) {
   PipelineResult R = CompilationSession(*PR.M).compileLoop(Cands.front(), Opts);
   EXPECT_TRUE(R.Ok) << firstError(R);
   EXPECT_EQ(R.Plan.Kind, Expect);
-  if (Expect == ParallelKind::DOACROSS)
+  if (Expect == ParallelKind::DOACROSS) {
     EXPECT_GE(R.Plan.OrderedRegions, 1u);
+  }
   return std::move(PR.M);
 }
 

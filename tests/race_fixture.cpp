@@ -8,9 +8,9 @@
 // The control experiment for the host-threaded engine's safety story. The
 // paper's claim is that data-structure expansion is what MAKES a loop safe
 // to run on real threads; this program deliberately skips the expansion,
-// force-marks a loop with an unprivatized global accumulator as DOALL, and
-// runs it on four host threads. Every iteration performs an unsynchronized
-// read-modify-write of the same global — a textbook data race.
+// force-marks a loop with unprivatized global accumulators as DOALL, and
+// runs it on four host threads. Every iteration performs unsynchronized
+// read-modify-writes of the same globals — a textbook data race.
 //
 // CI builds this fixture under -fsanitize=thread and runs it EXPECTING
 // failure: tsan must report the race (the step passes only when the fixture
@@ -18,6 +18,15 @@
 // has stopped genuinely racing — meaning it silently serialized, and the
 // whole measured-speedup story would be fiction. Without tsan it exits 0
 // (the lost updates are tolerated; the printed count is simply wrong).
+//
+// The race must be reportable in every build type, which takes two things.
+// Bounds checks are off: with them on, every VM access looks its address up
+// under VMMemory's registry lock, and those lock handoffs order most of the
+// racing accesses for tsan. And the loop also races on a double: g++ expands
+// the VM's variable-size integer memcpy inline after the tsan pass, so at
+// -O2 the int accumulator's accesses are not instrumented at all, while the
+// fixed-size double accesses are. The int race stays in the loop; the double
+// is the one an -O2 g++ build reports.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,12 +44,15 @@ namespace {
 
 const char *RacySrc = R"(
 int counter;
+double total;
 int main() {
   int n = 400000;
   @candidate for (int i = 0; i < n; i++) {
     counter = counter + 1;
+    total = total + 1.0;
   }
   print_int(counter);
+  print_float(total);
   return 0;
 }
 )";
@@ -52,7 +64,7 @@ int main() {
 
   // Number the loops, then lie: mark the candidate DOALL with no expansion,
   // no guard plan, nothing. A transformed module would have privatized
-  // `counter`; this one shares it across all four workers.
+  // `counter` and `total`; this one shares them across all four workers.
   std::vector<unsigned> Loops = CompilationSession(*M).candidateLoops();
   if (Loops.size() != 1) {
     std::fprintf(stderr, "race fixture: expected 1 candidate loop, got %zu\n",
@@ -79,6 +91,7 @@ int main() {
   InterpOptions IO;
   IO.Engine = ExecEngine::Threads;
   IO.NumThreads = 4;
+  IO.BoundsCheck = false;
   Interp I(*M, IO);
   RunResult R = I.run();
   if (R.Trapped) {
