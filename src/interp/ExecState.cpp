@@ -75,6 +75,13 @@ uint64_t heapAllocOrTrap(ThreadState &S, uint64_t Size, uint32_t SiteId,
   return Base;
 }
 
+/// The attribution a trap inside a counted loop appends to its message.
+std::string trapSuffix(int64_t LoopId, int64_t Iter, int Tid) {
+  return formatString(" [loop %lld, iteration %lld, thread %d]",
+                      static_cast<long long>(LoopId),
+                      static_cast<long long>(Iter), Tid);
+}
+
 } // namespace
 
 void ThreadState::trap(const std::string &Msg) {
@@ -86,12 +93,19 @@ void ThreadState::trap(const std::string &Msg) {
     TrapLoopId = static_cast<int64_t>(C.LoopId);
     TrapIteration = static_cast<int64_t>(C.Iter);
     TrapThread = CurTid;
-    TrapMessage =
-        Msg + formatString(" [loop %u, iteration %llu, thread %d]", C.LoopId,
-                           static_cast<unsigned long long>(C.Iter), CurTid);
+    TrapMessage = Msg + trapSuffix(TrapLoopId, TrapIteration, TrapThread);
   } else {
     TrapMessage = Msg;
   }
+}
+
+void ThreadState::setTrapThread(int Tid) {
+  if (TrapLoopId < 0)
+    return;
+  std::string Old = trapSuffix(TrapLoopId, TrapIteration, TrapThread);
+  TrapMessage.resize(TrapMessage.size() - Old.size());
+  TrapThread = Tid;
+  TrapMessage += trapSuffix(TrapLoopId, TrapIteration, TrapThread);
 }
 
 ScalarKind gdse::scalarKindOf(const Type *T) {
@@ -136,55 +150,64 @@ bool ThreadState::checkAccess(uint64_t Addr, uint64_t Size, const char *What) {
   return true;
 }
 
+namespace {
+
+// One fixed-size copy per scalar width. A constant-size memcpy becomes a
+// plain (and sanitizer-instrumented) load or store; a variable-size one can
+// be expanded inline after the thread sanitizer's pass, which leaves the
+// access invisible to it.
+template <typename T> T loadRaw(uint64_t Addr) {
+  T V;
+  std::memcpy(&V, reinterpret_cast<const void *>(Addr), sizeof(T));
+  return V;
+}
+
+template <typename T> void storeRaw(uint64_t Addr, T V) {
+  std::memcpy(reinterpret_cast<void *>(Addr), &V, sizeof(T));
+}
+
+} // namespace
+
 VMValue ThreadState::loadScalarKind(uint64_t Addr, ScalarKind K) {
-  VMValue V;
   switch (K) {
-  case ScalarKind::F32: {
-    float F32;
-    std::memcpy(&F32, reinterpret_cast<void *>(Addr), 4);
-    V.F = F32;
-    return V;
-  }
+  case ScalarKind::I8:
+    return VMValue::ofInt(loadRaw<int8_t>(Addr));
+  case ScalarKind::I16:
+    return VMValue::ofInt(loadRaw<int16_t>(Addr));
+  case ScalarKind::I32:
+    return VMValue::ofInt(loadRaw<int32_t>(Addr));
+  case ScalarKind::U8:
+    return VMValue::ofInt(loadRaw<uint8_t>(Addr));
+  case ScalarKind::U16:
+    return VMValue::ofInt(loadRaw<uint16_t>(Addr));
+  case ScalarKind::U32:
+    return VMValue::ofInt(loadRaw<uint32_t>(Addr));
+  case ScalarKind::F32:
+    return VMValue::ofFloat(loadRaw<float>(Addr));
   case ScalarKind::F64:
-    std::memcpy(&V.F, reinterpret_cast<void *>(Addr), 8);
-    return V;
-  case ScalarKind::Ptr: {
-    uint64_t P;
-    std::memcpy(&P, reinterpret_cast<void *>(Addr), 8);
-    V.I = static_cast<int64_t>(P);
-    return V;
-  }
-  default: {
-    unsigned Bytes = scalarSize(K);
-    int64_t Raw = 0;
-    std::memcpy(&Raw, reinterpret_cast<void *>(Addr), Bytes);
-    V.I = normalizeInt(Raw, Bytes * 8, K <= ScalarKind::I64);
-    return V;
-  }
+    return VMValue::ofFloat(loadRaw<double>(Addr));
+  default: // I64, U64, Ptr
+    return VMValue::ofInt(loadRaw<int64_t>(Addr));
   }
 }
 
 void ThreadState::storeScalarKind(uint64_t Addr, ScalarKind K, VMValue V) {
   switch (K) {
-  case ScalarKind::F32: {
-    float F32 = static_cast<float>(V.F);
-    std::memcpy(reinterpret_cast<void *>(Addr), &F32, 4);
-    return;
-  }
+  case ScalarKind::I8:
+  case ScalarKind::U8:
+    return storeRaw(Addr, static_cast<uint8_t>(V.I));
+  case ScalarKind::I16:
+  case ScalarKind::U16:
+    return storeRaw(Addr, static_cast<uint16_t>(V.I));
+  case ScalarKind::I32:
+  case ScalarKind::U32:
+    return storeRaw(Addr, static_cast<uint32_t>(V.I));
+  case ScalarKind::F32:
+    return storeRaw(Addr, static_cast<float>(V.F));
   case ScalarKind::F64:
-    std::memcpy(reinterpret_cast<void *>(Addr), &V.F, 8);
-    return;
-  case ScalarKind::Ptr: {
-    uint64_t P = static_cast<uint64_t>(V.I);
-    std::memcpy(reinterpret_cast<void *>(Addr), &P, 8);
-    return;
-  }
-  default: {
-    unsigned Bytes = scalarSize(K);
-    int64_t Norm = normalizeInt(V.I, Bytes * 8, K <= ScalarKind::I64);
-    std::memcpy(reinterpret_cast<void *>(Addr), &Norm, Bytes);
-    return;
-  }
+    return storeRaw(Addr, V.F);
+  default: // I64, U64, Ptr
+    return storeRaw(Addr, V.I);
   }
 }
 
@@ -490,9 +513,7 @@ void ThreadState::logViolation(const DependenceViolation &V) {
 }
 
 void ThreadState::guardSetupRegions(const GuardPlan *GP, unsigned NumThreads) {
-  GuardRegions.clear();
-  GuardRegionHit = -1;
-  GuardHasComm = false;
+  guardTeardownRegions();
   Mem.forEachLive([&](const Allocation &A) {
     if (A.Kind != AllocKind::Heap || !A.SiteId)
       return;
@@ -521,6 +542,8 @@ void ThreadState::guardSetupRegions(const GuardPlan *GP, unsigned NumThreads) {
       R.WriteTid.assign(A.Size, -1);
       R.WriteClass.assign(A.Size, -1);
     }
+    GuardLo = GuardRegions.empty() ? R.Base : std::min(GuardLo, R.Base);
+    GuardHi = std::max(GuardHi, R.Base + R.Size);
     GuardRegions.push_back(std::move(R));
   });
 }
@@ -529,13 +552,28 @@ void ThreadState::guardTeardownRegions() {
   GuardRegions.clear();
   GuardRegionHit = -1;
   GuardHasComm = false;
+  GuardLo = GuardHi = 0;
 }
 
-void ThreadState::guardLoad(uint32_t Id, uint64_t Addr, uint64_t Size) {
+void ThreadState::updateGuardHooks() {
+  WatchLo = UINT64_MAX;
+  WatchHi = 0;
+  if (WatchAddrs) {
+    WatchLo = WatchAddrs->front();
+    WatchHi = WatchAddrs->back();
+  } else if (!GuardWatch.empty()) {
+    WatchLo = GuardWatch.begin()->first;
+    WatchHi = GuardWatch.rbegin()->first;
+  }
+  GuardHooksOn = GuardActive || WatchLo <= WatchHi;
+}
+
+void ThreadState::guardLoadChecked(uint32_t Id, uint64_t Addr,
+                                   uint64_t Size) {
   if (GuardActive) {
     const ProgramContext::GuardAccess *GA = guardAccess(Id);
     if (GA && !GA->Commutative) {
-      ++Loops[GuardLoop].GuardChecks;
+      ++GuardStats->GuardChecks;
       GuardRegion *R = guardRegionContaining(Addr);
       if (!R) {
         // Outside every guarded region: either a dynamic instance the
@@ -568,7 +606,7 @@ void ThreadState::guardLoad(uint32_t Id, uint64_t Addr, uint64_t Size) {
       // Commutative member: the RMW load of its own copy is licensed; the
       // only checkable facts are that it stays inside that copy's span of a
       // region of its own class.
-      ++Loops[GuardLoop].GuardChecks;
+      ++GuardStats->GuardChecks;
       GuardRegion *R = guardRegionContaining(Addr);
       if (R && (!R->Commutative || R->CommClass != GA->Class ||
                 escapesSpan(*R, Addr, Size)))
@@ -583,18 +621,19 @@ void ThreadState::guardLoad(uint32_t Id, uint64_t Addr, uint64_t Size) {
                        Id);
     }
   }
-  if (!GuardWatch.empty())
+  if (mayTouchWatch(Addr, Size))
     guardWatchLoad(Addr, Size);
 }
 
-void ThreadState::guardStore(uint32_t Id, uint64_t Addr, uint64_t Size) {
+void ThreadState::guardStoreChecked(uint32_t Id, uint64_t Addr,
+                                    uint64_t Size) {
   if (GuardActive) {
     GuardRegion *R = guardRegionContaining(Addr);
     const ProgramContext::GuardAccess *GA = guardAccess(Id);
     int32_t Cls = -1;
     if (GA && !GA->Commutative) {
       Cls = static_cast<int32_t>(GA->Class);
-      ++Loops[GuardLoop].GuardChecks;
+      ++GuardStats->GuardChecks;
       // As in guardLoad: addresses outside every region are shared or
       // metadata instances, not escapes.
       if (R && R->Commutative)
@@ -607,7 +646,7 @@ void ThreadState::guardStore(uint32_t Id, uint64_t Addr, uint64_t Size) {
       // region of its own class. Aliasing into a first-write-shadowed
       // region falls through to the stamp below as a foreign (Cls = -1)
       // write, exactly like any unclaimed store.
-      ++Loops[GuardLoop].GuardChecks;
+      ++GuardStats->GuardChecks;
       if (R && R->Commutative &&
           (R->CommClass != GA->Class || escapesSpan(*R, Addr, Size)))
         guardViolation(ViolationKind::SpanEscape, GA->Class, Addr, Id);
@@ -627,32 +666,39 @@ void ThreadState::guardStore(uint32_t Id, uint64_t Addr, uint64_t Size) {
         R->WriteIter[Pos] = static_cast<uint32_t>(GuardIter);
         R->WriteTid[Pos] = static_cast<int8_t>(CurTid);
         R->WriteClass[Pos] = Cls;
-        if (Pos >= R->Span) {
-          uint64_t Norm = Pos % R->Span;
-          R->PrivMin = std::min(R->PrivMin, Norm);
-          R->PrivMax = std::max(R->PrivMax, Norm);
+      }
+      // The window of copy offsets written in copies > 0. An access that
+      // wraps past the end of a copy widens it to the whole span.
+      if (End > R->Span && O < End) {
+        uint64_t First = std::max(O, R->Span);
+        uint64_t Lo = First % R->Span, Hi = (End - 1) % R->Span;
+        if (Hi < Lo || End - First > R->Span) {
+          Lo = 0;
+          Hi = R->Span - 1;
         }
+        R->PrivMin = std::min(R->PrivMin, Lo);
+        R->PrivMax = std::max(R->PrivMax, Hi);
       }
     }
   }
-  if (!GuardWatch.empty())
+  if (mayTouchWatch(Addr, Size))
     guardWatchStore(Addr, Size);
 }
 
 void ThreadState::guardBulkRead(uint64_t Addr, uint64_t Size) {
-  if (!GuardWatch.empty())
+  if (mayTouchWatch(Addr, Size))
     guardWatchLoad(Addr, Size);
 }
 
 void ThreadState::guardBulkWrite(uint64_t Addr, uint64_t Size) {
   if (GuardActive)
     guardStore(InvalidAccessId, Addr, Size);
-  else if (!GuardWatch.empty())
+  else if (mayTouchWatch(Addr, Size))
     guardWatchStore(Addr, Size);
 }
 
 void ThreadState::guardFree(uint64_t Base, uint64_t Size) {
-  if (!GuardWatch.empty())
+  if (mayTouchWatch(Base, Size))
     guardWatchStore(Base, Size);
   if (GuardActive)
     for (size_t I = 0; I != GuardRegions.size(); ++I)
@@ -663,7 +709,40 @@ void ThreadState::guardFree(uint64_t Base, uint64_t Size) {
       }
 }
 
+void ThreadState::logWatchAccess(uint64_t Addr, uint64_t Size,
+                                 bool IsStore) {
+  const std::vector<uint64_t> &W = *WatchAddrs;
+  bool Live = false;
+  for (size_t K = std::lower_bound(W.begin(), W.end(), Addr) - W.begin();
+       K != W.size() && W[K] < Addr + Size; ++K)
+    if (!WatchErased[K]) {
+      Live = true;
+      if (!IsStore)
+        break;
+      WatchErased[K] = 1;
+    }
+  if (!Live)
+    return;
+  WatchLog.push_back({GuardIter, Addr, Size, IsStore});
+  if (!IsStore)
+    return;
+  // Narrow this worker's watch bounds past the bytes its stores erased, so
+  // later accesses outside what is left are settled inline.
+  size_t Lo = std::lower_bound(W.begin(), W.end(), WatchLo) - W.begin();
+  size_t End = std::upper_bound(W.begin(), W.end(), WatchHi) - W.begin();
+  while (Lo != End && WatchErased[Lo])
+    ++Lo;
+  while (End != Lo && WatchErased[End - 1])
+    --End;
+  WatchLo = Lo != End ? W[Lo] : UINT64_MAX;
+  WatchHi = Lo != End ? W[End - 1] : 0;
+}
+
 void ThreadState::guardWatchLoad(uint64_t Addr, uint64_t Size) {
+  if (WatchAddrs) {
+    logWatchAccess(Addr, Size, /*IsStore=*/false);
+    return;
+  }
   auto It = GuardWatch.lower_bound(Addr);
   if (It == GuardWatch.end() || It->first >= Addr + Size)
     return;
@@ -685,6 +764,10 @@ void ThreadState::guardWatchLoad(uint64_t Addr, uint64_t Size) {
 }
 
 void ThreadState::guardWatchStore(uint64_t Addr, uint64_t Size) {
+  if (WatchAddrs) {
+    logWatchAccess(Addr, Size, /*IsStore=*/true);
+    return;
+  }
   auto It = GuardWatch.lower_bound(Addr);
   bool Erased = false;
   while (It != GuardWatch.end() && It->first < Addr + Size) {
@@ -758,8 +841,6 @@ const char *gdse::threadedPathName(ThreadedPath P) {
     return "serial-order";
   case ThreadedPath::RtPriv:
     return "rtpriv";
-  case ThreadedPath::GuardPlan:
-    return "guard-plan";
   case ThreadedPath::FallbackGuard:
     return "fallback-guard";
   case ThreadedPath::UserTid:
@@ -813,11 +894,14 @@ ThreadedPath ThreadState::threadedEligible(const ParallelInvocation &I,
   if (!Host->IVInFrame)
     return ThreadedPath::GlobalIV;
   // An installed observer expects the serial-order event stream; a cycle
-  // budget needs a monotonic global cycle counter; an armed guard watch must
-  // see every access in serial order. All three force the simulated path.
-  // Wall-clock deadlines and byte budgets are order-free and stay
-  // threaded-compatible.
-  if (Obs || Opts.Resilience.Budget.MaxCycles != 0 || !GuardWatch.empty())
+  // budget needs a monotonic global cycle counter; a Fallback-mode watch
+  // patches memory (last-value copy-out) before the load that hits it
+  // consumes anything. All three force the simulated path. A Check-mode
+  // watch only reports, so workers log the accesses that touch it and the
+  // join replays them in serial order (ThreadedLoop.cpp). Wall-clock
+  // deadlines and byte budgets are order-free and stay threaded-compatible.
+  if (Obs || Opts.Resilience.Budget.MaxCycles != 0 ||
+      (!GuardWatch.empty() && Opts.Guard != GuardMode::Check))
     return ThreadedPath::SerialOrder;
   const ProgramContext::LoopTraits *T = P.loopTraits(I.LoopId);
   // Runtime privatization keeps a serial-order shadow map: simulate.
@@ -830,12 +914,11 @@ ThreadedPath ThreadState::threadedEligible(const ParallelInvocation &I,
   if (I.Kind != ParallelKind::DOACROSS)
     return ThreadedPath::Threaded;
   // DOACROSS virtual thread assignment (argmin of the simulated timeline) is
-  // only known after the fact, so guard shadows that stamp it and bodies
-  // that observe a user __tid cannot run on real threads in DOACROSS form.
-  // Expansion's synthesized copy indices are fine: workers index the copies
-  // by worker, which is exclusive to the iteration running on it.
-  if (I.GP)
-    return ThreadedPath::GuardPlan;
+  // only known after the fact, so a body that observes a user __tid cannot
+  // run on real threads in DOACROSS form. Expansion's synthesized copy
+  // indices are fine: workers index the copies by worker, which is
+  // exclusive to the iteration running on it, and so do the guard shadows;
+  // the join renames every guard record and trap to the virtual thread.
   if (T->UsesTid)
     return ThreadedPath::UserTid;
   // Workers run on private frame copies, merged byte-wise at the join: exact
@@ -937,6 +1020,7 @@ bool ThreadState::beginParallel(ParallelInvocation &I) {
       GuardActive = true;
       GuardTripped = false;
       GuardLoop = I.LoopId;
+      GuardStats = &LS;
       updateGuardHooks();
       ++LS.GuardedInvocations;
     }

@@ -253,8 +253,11 @@ struct ThreadState {
   /// An in-loop violation in this Fallback invocation (set by
   /// guardViolation): the attempt rolls back at the iteration boundary.
   bool GuardTripped = false;
-  bool GuardHooksOn = false; ///< GuardActive || !GuardWatch.empty()
+  bool GuardHooksOn = false; ///< GuardActive || a watch is armed
   unsigned GuardLoop = 0;    ///< loop id of the active guarded invocation
+  /// Loops[GuardLoop], where each claimed access counts its check; valid
+  /// while GuardActive.
+  LoopStats *GuardStats = nullptr;
   uint64_t GuardIter = 0;    ///< current iteration, for shadow stamps
   /// Set on worker ThreadStates: violations are logged but not reported to
   /// the diagnostic engine (the join reports merged entries once, in
@@ -277,16 +280,46 @@ struct ThreadState {
   };
   std::map<uint64_t, GuardWatchByte> GuardWatch;
 
+  /// Set on worker ThreadStates while a Check-mode watch is armed: the
+  /// addresses the main thread's watch held when the loop started, sorted
+  /// and shared read-only. A worker marks the ones its own stores and frees
+  /// erase (WatchErased is its own) and logs, in program order, each access
+  /// that still touches one: every load or store the serial watch hooks
+  /// could report or erase with, since a byte this worker erased stays
+  /// erased for all of its later iterations in serial order too. The join
+  /// replays the logs in serial iteration order through guardWatchLoad and
+  /// guardWatchStore on the main thread (ThreadedLoop.cpp).
+  const std::vector<uint64_t> *WatchAddrs = nullptr;
+  std::vector<uint8_t> WatchErased;
+  struct WatchAccess {
+    uint64_t Iter = 0;
+    uint64_t Addr = 0;
+    uint64_t Size = 0;
+    bool IsStore = false; ///< a store, bulk write or free
+  };
+  std::vector<WatchAccess> WatchLog;
+
   //===------------------------------------------------------------------===//
   // Guarded execution API
   //===------------------------------------------------------------------===//
 
   /// Fast-path hooks: the engines call these on every scalar/aggregate
   /// access, but only when GuardHooksOn — which is permanently false in
-  /// GuardMode::Off, so the unguarded cost is one predictable branch. The
-  /// guard charges no cycles and emits no observer events in any mode.
-  void guardLoad(uint32_t Id, uint64_t Addr, uint64_t Size);
-  void guardStore(uint32_t Id, uint64_t Addr, uint64_t Size);
+  /// GuardMode::Off, so the unguarded cost is one predictable branch. Most
+  /// accesses under a guard are ones no plan claims, outside every guarded
+  /// region and watched byte: those are settled here, inline. The guard
+  /// charges no cycles and emits no observer events in any mode.
+  void guardLoad(uint32_t Id, uint64_t Addr, uint64_t Size) {
+    if ((GuardActive && ((GuardHasComm && mayTouchRegions(Addr)) ||
+                         guardAccess(Id))) ||
+        mayTouchWatch(Addr, Size))
+      guardLoadChecked(Id, Addr, Size);
+  }
+  void guardStore(uint32_t Id, uint64_t Addr, uint64_t Size) {
+    if ((GuardActive && (mayTouchRegions(Addr) || guardAccess(Id))) ||
+        mayTouchWatch(Addr, Size))
+      guardStoreChecked(Id, Addr, Size);
+  }
   /// Bulk effects (memcpy/memset/realloc) and frees, from execBuiltinOp.
   void guardBulkRead(uint64_t Addr, uint64_t Size);
   void guardBulkWrite(uint64_t Addr, uint64_t Size);
@@ -527,15 +560,25 @@ private:
   Flow endParallel(const ParallelInvocation &I, const ParallelTimeline &TL,
                    Flow Result);
 
+  /// Re-attributes a trap raised inside a counted loop to thread \p Tid, in
+  /// TrapThread and in the message.
+  void setTrapThread(int Tid);
+
   // Guarded-execution internals (ExecState.cpp). ThreadedLoop.cpp reuses
-  // guardCommit and logViolation.
+  // guardCommit, logViolation and the watch hooks.
+  void guardLoadChecked(uint32_t Id, uint64_t Addr, uint64_t Size);
+  void guardStoreChecked(uint32_t Id, uint64_t Addr, uint64_t Size);
   GuardRegion *guardRegionContaining(uint64_t Addr);
   void guardSetupRegions(const GuardPlan *GP, unsigned NumThreads);
   void guardTeardownRegions();
   /// Arms the post-loop watch from the shadow, then drops the shadow.
   void guardCommit(const GuardPlan *GP, unsigned NumThreads);
+  /// A read / a write or free of [Addr, Addr + Size) under an armed watch:
+  /// the main thread reports or erases watched bytes, a worker logs the
+  /// access when it touches a byte of WatchAddrs it has not erased.
   void guardWatchLoad(uint64_t Addr, uint64_t Size);
   void guardWatchStore(uint64_t Addr, uint64_t Size);
+  void logWatchAccess(uint64_t Addr, uint64_t Size, bool IsStore);
   /// The one violation recorder: counts the occurrence, trips a Fallback
   /// attempt on an in-loop violation, and logs it.
   void guardViolation(ViolationKind K, unsigned LoopId, unsigned Class,
@@ -550,23 +593,33 @@ private:
   void logViolation(const DependenceViolation &V);
   /// The claim the active guarded loop's plan makes on access \p Id, or null.
   const ProgramContext::GuardAccess *guardAccess(uint32_t Id) const {
-    if (Id == InvalidAccessId)
+    if (Id >= P.GuardAccessById.size())
       return nullptr;
-    auto It = P.GuardAccessMap.find(Id);
-    return It != P.GuardAccessMap.end() && It->second.LoopId == GuardLoop
-               ? &It->second
-               : nullptr;
+    const ProgramContext::GuardAccess &GA = P.GuardAccessById[Id];
+    return GA.LoopId == GuardLoop ? &GA : nullptr;
   }
   /// True when [Addr, Addr + Size) leaves this thread's copy of \p R.
   bool escapesSpan(const GuardRegion &R, uint64_t Addr, uint64_t Size) const {
-    uint64_t Tid = static_cast<uint64_t>(CurTid);
+    uint64_t Lo = R.Base + static_cast<uint64_t>(CurTid) * R.Span;
     uint64_t Last = Size ? Size - 1 : 0;
-    return (Addr - R.Base) / R.Span != Tid ||
-           (Addr - R.Base + Last) / R.Span != Tid;
+    return Addr - Lo >= R.Span || Addr + Last - Lo >= R.Span;
   }
-  void updateGuardHooks() {
-    GuardHooksOn = GuardActive || !GuardWatch.empty();
+  /// False when \p Addr is outside the guarded regions' address bounds (a
+  /// region is found by the address an access starts at).
+  bool mayTouchRegions(uint64_t Addr) const {
+    return Addr - GuardLo < GuardHi - GuardLo;
   }
+  /// False when [Addr, Addr + Size) is outside the watch's address bounds.
+  bool mayTouchWatch(uint64_t Addr, uint64_t Size) const {
+    return Addr <= WatchHi && Addr + Size > WatchLo;
+  }
+  /// Re-derives GuardHooksOn and the watch bounds; called after every change
+  /// to GuardActive or the watch.
+  void updateGuardHooks();
+  /// Address bounds of the guarded regions, [GuardLo, GuardHi), and of the
+  /// watched bytes, [WatchLo, WatchHi] (empty: WatchLo > WatchHi).
+  uint64_t GuardLo = 0, GuardHi = 0;
+  uint64_t WatchLo = UINT64_MAX, WatchHi = 0;
   /// Index into GuardRegions answered last (clustered accesses), or -1.
   int GuardRegionHit = -1;
 };

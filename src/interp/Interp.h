@@ -148,9 +148,8 @@ struct InterpOptions {
 enum class ThreadedPath : uint8_t {
   Threaded,          ///< ran on host worker threads
   NotThreadsEngine,  ///< not the threads engine (or one thread)
-  SerialOrder,       ///< observer, cycle budget or armed guard watch
+  SerialOrder,       ///< observer, cycle budget or fallback-mode watch
   RtPriv,            ///< the body calls rtpriv_ptr
-  GuardPlan,         ///< a guarded DOACROSS loop
   FallbackGuard,     ///< a fallback-mode guard plan
   UserTid,           ///< a DOACROSS body reads a user-written __tid
   CarriedFrameSlot,  ///< a DOACROSS body carries a frame slot

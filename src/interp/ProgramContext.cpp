@@ -466,10 +466,15 @@ ProgramContext::ProgramContext(Module &M, InterpOptions O)
       if (!GP || GP->empty())
         continue;
       GuardPlanOf[GP->LoopId] = GP.get();
+      auto claim = [&](uint32_t Aid, unsigned Cls, bool Comm) {
+        if (Aid >= GuardAccessById.size())
+          GuardAccessById.resize(Aid + 1);
+        GuardAccessById[Aid] = GuardAccess{GP->LoopId, Cls, Comm};
+      };
       for (const auto &[Aid, Cls] : GP->PrivateClassOf)
-        GuardAccessMap[Aid] = GuardAccess{GP->LoopId, Cls, false};
+        claim(Aid, Cls, false);
       for (const auto &[Aid, Cls] : GP->CommClassOf)
-        GuardAccessMap[Aid] = GuardAccess{GP->LoopId, Cls, true};
+        claim(Aid, Cls, true);
     }
   }
 

@@ -80,13 +80,16 @@ struct ProgramContext {
   /// thread count fits the shadow's int8 thread ids. Commutative entries
   /// are members of proven-commutative (reduction) classes: their region is
   /// validated in commit-time-merge mode (span containment plus foreign-touch
-  /// watching) instead of carrying a first-write shadow.
+  /// watching) instead of carrying a first-write shadow. Access ids are
+  /// dense, so the table is indexed by id (every guarded access looks it
+  /// up); an unclaimed id holds LoopId == NoLoop.
   struct GuardAccess {
-    unsigned LoopId = 0;
+    static constexpr unsigned NoLoop = ~0u;
+    unsigned LoopId = NoLoop;
     unsigned Class = 0;
     bool Commutative = false;
   };
-  std::map<uint32_t, GuardAccess> GuardAccessMap;
+  std::vector<GuardAccess> GuardAccessById;
 
   /// Static facts about each counted loop's body (transitively through
   /// callees), computed once at construction. The host-threaded runner

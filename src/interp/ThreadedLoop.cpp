@@ -38,12 +38,22 @@
 // thread is only known from the replayed timeline, but expansion's copy
 // indices (synthesized tids) need no more than an index exclusive to the
 // running iteration, which the slot tid is; only a body that reads a user
-// __tid keeps the simulated path. The private frame copies are exact for
-// DOALL chunks; for DOACROSS, whose iterations interleave across workers,
-// the frame-slot gate (ProgramContext::LoopTraits::CarriesFrameSlot) keeps
-// every loop that could carry a value through a frame slot on the
-// simulated path, so the byte-diff merge below only ever copies back slots
-// nothing reads again.
+// __tid keeps the simulated path. The guard shadow follows the copies: a
+// worker stamps and span-checks against its slot, and the join renames
+// every violation, every shadow stamp (hence every post-loop watch byte)
+// and the trap of the faulting iteration to the iteration's virtual thread.
+// The private frame copies are exact for DOALL chunks; for DOACROSS, whose
+// iterations interleave across workers, the frame-slot gate
+// (ProgramContext::LoopTraits::CarriesFrameSlot) keeps every loop that
+// could carry a value through a frame slot on the simulated path, so the
+// byte-diff merge below only ever copies back slots nothing reads again.
+//
+// A check-mode post-loop watch (armed by an earlier guarded invocation's
+// commit) does not stop threading either: every worker reads the watched
+// addresses without changing the watch and logs, with its iteration and in
+// program order, each access that touches a watched byte its own stores
+// have not erased; the join replays the logs through the serial watch
+// hooks.
 //
 // A worker's iterations stay off VMMemory's registry lock and the host
 // allocator in the steady state: its calls push frames on a private LIFO
@@ -53,24 +63,26 @@
 // bitmaps — is sized on the calling thread before the workers start.
 //
 // After the join everything is merged back deterministically, in serial
-// iteration order: output concatenation, per-iteration work cycles, the
-// peak-memory replay (per-iteration allocation deltas re-run in iteration
-// order), frame byte-diffs (last-writing chunk wins, as in serial order),
-// guard-shadow merge (latest-iteration byte wins) followed by the ordinary
-// commit scan, worker violation logs folded through the serial recorder
-// (logViolation), and the virtual timeline replay through the exact
-// arithmetic the simulated path uses (ParallelTimeline.h). A DOACROSS
+// iteration order: the virtual timeline replay through the exact arithmetic
+// the simulated path uses (ParallelTimeline.h), which also names each
+// iteration's virtual thread; output concatenation, per-iteration work
+// cycles, the peak-memory replay (per-iteration allocation deltas re-run in
+// iteration order), frame byte-diffs (last-writing chunk wins, as in serial
+// order), guard-shadow merge (latest-iteration byte wins) followed by the
+// ordinary commit scan, and worker violation and watch-access logs replayed
+// through the serial recorder (logViolation) and watch hooks. A DOACROSS
 // attempt whose ticket frontier wedges is not merged at all: the watchdog
 // rolls the shared InvocationCheckpoint back and the invocation re-runs on
 // the simulated path.
 //
 // On loop invocations that complete normally, every virtual metric is
 // therefore bit-identical to the serial engines (EngineDiffTest enforces
-// this); on invocations that trap or halt mid-loop, iterations past the
-// (lowest) faulting one may or may not have run on other workers, so — as
-// with the bytecode engine's existing trap-run license (Bytecode.h) — cycle
-// totals, output, and side effects past the fault may diverge, while the
-// trap message itself keeps exact loop/iteration attribution.
+// this); on invocations that trap or halt mid-loop, every iteration below
+// the (lowest) faulting one runs, but iterations past it may or may not
+// have run on other workers, so — as with the bytecode engine's existing
+// trap-run license (Bytecode.h) — cycle totals, output, and side effects
+// past the fault may diverge, while the trap message keeps exact
+// loop/iteration/virtual-thread attribution.
 //
 //===----------------------------------------------------------------------===//
 
@@ -224,6 +236,9 @@ struct IterRec {
   int64_t MemMaxPrefix = 0;        ///< max net-bytes prefix within the iter
   Flow FL = Flow::Normal;
   unsigned Worker = 0; ///< meaningful once Ran
+  /// The virtual thread, once the timeline replay dispatched the iteration;
+  /// the worker slot for an iteration past the lowest faulting one.
+  unsigned VThread = 0;
   bool Ran = false;
 };
 
@@ -286,13 +301,28 @@ Flow ThreadState::runForThreaded(ParallelInvocation I,
 
     DoacrossSync Sync(Traits.RegionIds, Total, WatchdogMs);
     std::atomic<uint64_t> NextGrab{0};
-    std::atomic<bool> Abort{false};
+    // The lowest iteration that trapped or halted so far. Only iterations
+    // past it are skipped, so every iteration below the faulting one runs,
+    // as in serial order, and the timeline replay up to it is exact.
+    std::atomic<uint64_t> AbortIt{UINT64_MAX};
+    auto abortAt = [&](uint64_t It) {
+      uint64_t Cur = AbortIt.load(std::memory_order_relaxed);
+      while (It < Cur && !AbortIt.compare_exchange_weak(
+                             Cur, It, std::memory_order_relaxed)) {
+      }
+    };
 
     // Per-worker buffers are sized here, on the calling thread, so the
     // workers' steady state stays off the host allocator.
     const size_t Regions = Traits.RegionIds.size();
     const size_t EvReserve =
         Regions ? (Total / NumWorkers + 1) * 2 * Regions : 0;
+    // A Check-mode watch armed by an earlier invocation, flattened for the
+    // workers' lookups; it does not change until the join replays the logs.
+    std::vector<uint64_t> WatchAddrs;
+    WatchAddrs.reserve(GuardWatch.size());
+    for (const auto &[Addr, W] : GuardWatch)
+      WatchAddrs.push_back(Addr);
     Workers.resize(NumWorkers);
     MemWs.reserve(NumWorkers);
     for (unsigned T = 0; T != NumWorkers; ++T) {
@@ -309,10 +339,17 @@ Flow ThreadState::runForThreaded(ParallelInvocation I,
       if (I.GP) {
         WS.GuardActive = true;
         WS.GuardLoop = I.LoopId;
+        WS.GuardStats = &WS.Loops[I.LoopId];
         WS.GuardRegions = GuardRegions; // private first-write shadow copy
         WS.GuardHasComm = GuardHasComm;
-        WS.updateGuardHooks();
+        WS.GuardLo = GuardLo;
+        WS.GuardHi = GuardHi;
       }
+      if (!WatchAddrs.empty()) {
+        WS.WatchAddrs = &WatchAddrs;
+        WS.WatchErased.assign(WatchAddrs.size(), 0);
+      }
+      WS.updateGuardHooks();
       // Worker frames must exist before the arena goes concurrent and are
       // excluded from byte accounting (no serial counterpart).
       W.FrameBase = Mem.allocateUntracked(Host.FrameSize);
@@ -342,7 +379,7 @@ Flow ThreadState::runForThreaded(ParallelInvocation I,
       // the ladder — re-running would breach again.
       if (!WS.checkBudget()) {
         R.FL = Flow::Halt;
-        Abort.store(true, std::memory_order_relaxed);
+        abortAt(It);
         return false;
       }
       int64_t IVal = B.Lo + static_cast<int64_t>(It) * B.Step;
@@ -364,7 +401,7 @@ Flow ThreadState::runForThreaded(ParallelInvocation I,
       }
       if (FL == Flow::Halt || WS.dead()) {
         R.FL = Flow::Halt;
-        Abort.store(true, std::memory_order_relaxed);
+        abortAt(It);
         return false;
       }
       R.FL = FL;
@@ -381,7 +418,7 @@ Flow ThreadState::runForThreaded(ParallelInvocation I,
           TG.submit([&, T, LoIt, HiIt] {
             Mem.attach(MemWs[T]);
             for (uint64_t It = LoIt; It != HiIt; ++It) {
-              if (Abort.load(std::memory_order_relaxed))
+              if (It > AbortIt.load(std::memory_order_relaxed))
                 break;
               if (!runIter(T, It))
                 break;
@@ -397,7 +434,7 @@ Flow ThreadState::runForThreaded(ParallelInvocation I,
               uint64_t It = NextGrab.fetch_add(1, std::memory_order_relaxed);
               if (It >= Total)
                 break;
-              if (Abort.load(std::memory_order_relaxed)) {
+              if (It > AbortIt.load(std::memory_order_relaxed)) {
                 // Grabbed but not run: still release, so iterations behind
                 // us that are already inside the loop can drain.
                 Sync.releaseAll(It);
@@ -437,7 +474,9 @@ Flow ThreadState::runForThreaded(ParallelInvocation I,
                        "%llu ms); re-running the invocation on the "
                        "simulated serial-order path",
                        static_cast<unsigned long long>(WatchdogMs)));
-      return runForParallel(I); // no guard plan: I re-enters unchanged
+      // The re-run sets the guard shadow up afresh from the rolled-back
+      // heap (beginParallel), so a guarded invocation is re-validated.
+      return runForParallel(I);
     }
 
     //===------------------------------------------------------------------===//
@@ -449,6 +488,25 @@ Flow ThreadState::runForThreaded(ParallelInvocation I,
         AbnIt = It;
         break;
       }
+
+    // Virtual timeline replay: identical arithmetic, fed in iteration order,
+    // and it names each iteration's virtual thread. The faulting iteration
+    // (when one exists) is dispatched but not completed — exactly where the
+    // simulated path breaks out of its iteration loop; every iteration below
+    // it ran (see AbortIt).
+    for (uint64_t It = 0; It != Total; ++It) {
+      IterRec &R = Recs[It];
+      R.VThread = R.Worker;
+      if (!R.Ran || It > AbnIt)
+        continue;
+      R.VThread = TL.dispatch(It);
+      if (It == AbnIt)
+        continue;
+      const std::vector<OrderedEvent> &Ev =
+          Workers[R.Worker].WS->OrderedEvents;
+      TL.completeIter(R.VThread, R.W, Ev.data() + R.EvBegin,
+                      R.EvEnd - R.EvBegin);
+    }
 
     // Work cycles and output, in iteration order (through the faulting
     // iteration when one exists — later iterations other workers may have
@@ -521,8 +579,10 @@ Flow ThreadState::runForThreaded(ParallelInvocation I,
       // Guard-shadow merge. A region survives only if no worker freed its
       // block mid-loop (guardFree drops it from that worker's copy); for
       // survivors, each byte takes the stamp of the latest-iteration writer
-      // across workers — iteration sets are disjoint, so that is exactly the
-      // serial first-write shadow's final state.
+      // across workers — each iteration ran on exactly one worker, so that
+      // is exactly the serial first-write shadow's final state. The stamp's
+      // thread becomes the writer's virtual thread, which is what a watch
+      // byte armed from it reports.
       std::vector<GuardRegion> Survivors;
       for (GuardRegion &R : GuardRegions) {
         std::vector<const GuardRegion *> Copies;
@@ -551,8 +611,9 @@ Flow ThreadState::runForThreaded(ParallelInvocation I,
             }
             if (!BestR)
               continue;
-            R.WriteIter[Pos] = BestR->WriteIter[Pos];
-            R.WriteTid[Pos] = BestR->WriteTid[Pos];
+            uint32_t WI = BestR->WriteIter[Pos];
+            R.WriteIter[Pos] = WI;
+            R.WriteTid[Pos] = static_cast<int8_t>(Recs[WI].VThread);
             R.WriteClass[Pos] = BestR->WriteClass[Pos];
           }
           for (const GuardRegion *C : Copies) {
@@ -564,28 +625,59 @@ Flow ThreadState::runForThreaded(ParallelInvocation I,
       }
       GuardRegions = std::move(Survivors);
       GuardRegionHit = -1;
-
-      // Violation-log merge: workers already deduped per (loop, class,
-      // kind); fold their entries through the serial recorder in
-      // first-occurrence iteration order, so the surviving attribution
-      // matches what a serial scan would have kept and each genuinely new
-      // entry is reported once.
-      std::vector<DependenceViolation> All;
-      for (unsigned T = 0; T != NumWorkers; ++T)
-        All.insert(All.end(), Workers[T].WS->GuardViolationLog.begin(),
-                   Workers[T].WS->GuardViolationLog.end());
-      std::stable_sort(All.begin(), All.end(),
-                       [](const DependenceViolation &A,
-                          const DependenceViolation &C) {
-                         return A.Iteration < C.Iteration;
-                       });
-      for (const DependenceViolation &V : All)
-        logViolation(V);
     }
 
-    // Trap/halt transfer: the lowest faulting iteration wins; its worker's
-    // attribution (loop, iteration, thread) is already baked into the
-    // message by ThreadState::trap on the worker.
+    // Violation replay, in serial iteration order through the faulting
+    // iteration. Workers already deduplicated their in-loop violations per
+    // (loop, class, kind); those entries fold through the serial recorder
+    // in first-occurrence order, renamed to the virtual thread, so the
+    // surviving attribution matches what a serial scan would have kept and
+    // each genuinely new entry is reported once. The accesses workers logged
+    // against an armed watch replay through the serial watch hooks, by
+    // iteration and then in each worker's program order: exactly the loads
+    // the serial guardWatchLoad reports, in the same order, with each byte
+    // erased at its first store or free. Within one iteration, in-loop
+    // first occurrences go before watch hits.
+    std::vector<DependenceViolation> InLoop;
+    std::vector<WatchAccess> Watched;
+    for (WorkerCtx &W : Workers) {
+      for (const DependenceViolation &V : W.WS->GuardViolationLog)
+        if (V.Iteration <= AbnIt)
+          InLoop.push_back(V);
+      for (const WatchAccess &A : W.WS->WatchLog)
+        if (A.Iter <= AbnIt)
+          Watched.push_back(A);
+    }
+    std::stable_sort(InLoop.begin(), InLoop.end(),
+                     [](const DependenceViolation &A,
+                        const DependenceViolation &C) {
+                       return A.Iteration < C.Iteration;
+                     });
+    std::stable_sort(Watched.begin(), Watched.end(),
+                     [](const WatchAccess &A, const WatchAccess &C) {
+                       return A.Iter < C.Iter;
+                     });
+    size_t NextV = 0;
+    auto logInLoopThrough = [&](uint64_t It) {
+      for (; NextV != InLoop.size() && InLoop[NextV].Iteration <= It;
+           ++NextV) {
+        DependenceViolation &V = InLoop[NextV];
+        V.Thread = static_cast<int>(Recs[V.Iteration].VThread);
+        logViolation(V);
+      }
+    };
+    for (const WatchAccess &A : Watched) {
+      logInLoopThrough(A.Iter);
+      if (A.IsStore)
+        guardWatchStore(A.Addr, A.Size);
+      else
+        guardWatchLoad(A.Addr, A.Size);
+    }
+    logInLoopThrough(UINT64_MAX);
+
+    // Trap/halt transfer: the lowest faulting iteration wins. Its worker
+    // already attributed the loop and iteration; the thread becomes the
+    // iteration's virtual thread, as the simulated path names it.
     if (AbnIt != UINT64_MAX) {
       Result = Flow::Halt;
       ThreadState &WS = *Workers[Recs[AbnIt].Worker].WS;
@@ -595,6 +687,7 @@ Flow ThreadState::runForThreaded(ParallelInvocation I,
         TrapLoopId = WS.TrapLoopId;
         TrapIteration = WS.TrapIteration;
         TrapThread = WS.TrapThread;
+        setTrapThread(static_cast<int>(Recs[AbnIt].VThread));
       }
       if (WS.Halted) {
         Halted = true;
@@ -617,19 +710,5 @@ Flow ThreadState::runForThreaded(ParallelInvocation I,
   // The attempt stands (clean, or a real program trap/halt/budget breach):
   // keep its state and drop the recovery checkpoint.
   CP.commit();
-
-  // Virtual timeline replay: identical arithmetic, fed in iteration order.
-  // The faulting iteration (when one exists) contributes its work cycles and
-  // output above but not a timeline completion — exactly where the simulated
-  // path breaks out of its iteration loop.
-  for (uint64_t It = 0; It != Total && It < AbnIt; ++It) {
-    const IterRec &R = Recs[It];
-    if (!R.Ran)
-      continue;
-    const std::vector<OrderedEvent> &Ev =
-        Workers[R.Worker].WS->OrderedEvents;
-    TL.completeIter(TL.dispatch(It), R.W, Ev.data() + R.EvBegin,
-                    R.EvEnd - R.EvBegin);
-  }
   return endParallel(I, TL, Result);
 }

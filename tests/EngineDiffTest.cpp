@@ -590,14 +590,9 @@ int main() {
   EXPECT_EQ(H.R.TrapThread, B.R.TrapThread);
 }
 
-TEST(ThreadsEngine, TrapInOrderedRegionReleasesAllTickets) {
-  // Fault injection on the DOACROSS ticket protocol under 4 host threads:
-  // iteration 9 grabs its tickets, enters the ordered chain, and traps
-  // (1000/0). Workers holding later tickets are blocked in enter() at that
-  // moment; the trapping iteration must still release every lane exactly
-  // once, or TG.wait() never joins and this test hangs. The run must
-  // terminate with the trap attributed identically to the simulated engine.
-  const char *Src = R"(
+/// A DOACROSS loop whose iteration 9 traps (1000/0) before it enters the
+/// ordered chain of the non-commutative `acc` recurrence.
+const char *OrderedTrapSrc = R"(
 int acc;
 int main() {
   int n = 32;
@@ -612,33 +607,62 @@ int main() {
   free(a);
   return 0;
 })";
-  std::unique_ptr<Module> M = parseMiniCOrDie(Src, "ordered-trap");
+
+/// OrderedTrapSrc, transformed from the conservative static graph (the
+/// pipeline's profiling run would trip the planted fault): the `acc`
+/// recurrence, and everything else residual, lands in an ordered chain.
+std::unique_ptr<Module> orderedTrapModule() {
+  std::unique_ptr<Module> M = parseMiniCOrDie(OrderedTrapSrc, "ordered-trap");
   std::vector<unsigned> Cands = CompilationSession(*M).candidateLoops();
-  ASSERT_EQ(Cands.size(), 1u);
-  // The pipeline's profiling run would trip the planted fault, so drive the
-  // transform from the conservative static graph: the non-commutative `acc`
-  // recurrence (and everything else residual) lands in an ordered chain.
+  EXPECT_EQ(Cands.size(), 1u);
   PipelineOptions Opts;
   Opts.Source = GraphSource::Static;
   PipelineResult PR = CompilationSession(*M).compileLoop(Cands.front(), Opts);
-  ASSERT_TRUE(PR.Ok) << firstError(PR);
-  ASSERT_EQ(PR.Plan.Kind, ParallelKind::DOACROSS);
-  ASSERT_GE(PR.Plan.OrderedRegions, 1u);
+  EXPECT_TRUE(PR.Ok) << firstError(PR);
+  EXPECT_EQ(PR.Plan.Kind, ParallelKind::DOACROSS);
+  EXPECT_GE(PR.Plan.OrderedRegions, 1u);
+  return M;
+}
+
+TEST(ThreadsEngine, TrapInOrderedRegionReleasesAllTickets) {
+  // Fault injection on the DOACROSS ticket protocol under 4 host threads:
+  // iteration 9 grabs its tickets, enters the ordered chain, and traps
+  // (1000/0). Workers holding later tickets are blocked in enter() at that
+  // moment; the trapping iteration must still release every lane exactly
+  // once, or TG.wait() never joins and this test hangs. The run must
+  // terminate with the trap attributed identically to the simulated engine.
+  std::unique_ptr<Module> M = orderedTrapModule();
+  ASSERT_FALSE(HasFailure());
   EngineRun B = runNoObs(*M, ExecEngine::Bytecode, 4);
   EngineRun H = runNoObs(*M, ExecEngine::Threads, 4);
   ASSERT_TRUE(B.R.Trapped);
   ASSERT_TRUE(H.R.Trapped) << "threaded DOACROSS did not surface the trap";
-  // Which WORKER grabbed ticket 9 is scheduling-dependent under dynamic
-  // DOACROSS dispatch, so normalize the thread field out of the message;
-  // loop and iteration attribution must match exactly.
-  auto StripThread = [](std::string S) {
-    size_t P = S.find(", thread ");
-    return P == std::string::npos ? S : S.substr(0, P);
-  };
-  EXPECT_EQ(StripThread(H.R.TrapMessage), StripThread(B.R.TrapMessage));
+  EXPECT_EQ(H.R.TrapMessage, B.R.TrapMessage);
   EXPECT_EQ(H.R.TrapLoopId, B.R.TrapLoopId);
   EXPECT_EQ(H.R.TrapIteration, 9);
   EXPECT_EQ(B.R.TrapIteration, 9);
+}
+
+TEST(ThreadsEngine, DoacrossTrapNamesVirtualThread) {
+  // Which worker grabs iteration 9 depends on the schedule; the trap must
+  // still name the virtual thread the simulated engine runs it on, in the
+  // message and in TrapThread. Every iteration below the faulting one runs,
+  // so the replayed timeline that names it is the simulated one.
+  std::unique_ptr<Module> M = orderedTrapModule();
+  ASSERT_FALSE(HasFailure());
+  for (int N : {2, 4}) {
+    EngineRun B = runNoObs(*M, ExecEngine::Bytecode, N);
+    ASSERT_TRUE(B.R.Trapped);
+    EXPECT_NE(B.R.TrapMessage.find("iteration 9,"), std::string::npos)
+        << B.R.TrapMessage;
+    for (int Rep = 0; Rep != 20; ++Rep) {
+      EngineRun H = runNoObs(*M, ExecEngine::Threads, N);
+      ASSERT_TRUE(H.R.Trapped) << "@" << N << " rep " << Rep;
+      EXPECT_EQ(H.R.TrapMessage, B.R.TrapMessage) << "@" << N << " rep " << Rep;
+      EXPECT_EQ(H.R.TrapThread, B.R.TrapThread) << "@" << N << " rep " << Rep;
+      EXPECT_EQ(H.R.TrapIteration, 9) << "@" << N << " rep " << Rep;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -853,9 +877,10 @@ TEST(ThreadsEngine, ShippedDoacrossLoopsRunThreaded) {
 }
 
 TEST(ThreadsEngine, EveryPathCodeIsReachable) {
-  // Pins each ThreadedPath code to a configuration that produces it. (A
-  // guarded loop's commit can arm a post-loop watch, which sends its later
-  // invocations down the serial-order path, so a run may show two codes.)
+  // Pins each ThreadedPath code to a configuration that produces it. (In
+  // Fallback mode a guarded loop's commit can arm a post-loop watch, which
+  // sends its later invocations down the serial-order path, so a run may
+  // show two codes.)
   std::map<std::string, unsigned> Seen;
   auto note = [&](const RunResult &R, unsigned LoopId) {
     EXPECT_FALSE(R.Trapped) << R.TrapMessage;
@@ -912,7 +937,8 @@ int main() {
   }
 
   // The runtime-privatization baseline, and a guarded DOACROSS loop in
-  // both guard modes.
+  // both guard modes: threaded in Check mode (also across the watch its
+  // first invocation arms), the fallback-guard path in Fallback mode.
   const WorkloadInfo *W = findWorkload("456.hmmer");
   ASSERT_NE(W, nullptr);
   {
@@ -933,9 +959,13 @@ int main() {
   }
   ASSERT_FALSE(Plans.empty());
   ASSERT_EQ(parallelLoop(*GM).second, ParallelKind::DOACROSS);
-  for (GuardMode G : {GuardMode::Check, GuardMode::Fallback})
-    note(runNoObs(*GM, ExecEngine::Threads, 4, G, Plans).R,
-         parallelLoop(*GM).first);
+  for (GuardMode G : {GuardMode::Check, GuardMode::Fallback}) {
+    RunResult R = runNoObs(*GM, ExecEngine::Threads, 4, G, Plans).R;
+    note(R, parallelLoop(*GM).first);
+    if (G == GuardMode::Check) {
+      EXPECT_EQ(pathName(pathOf(R, parallelLoop(*GM).first)), "threaded");
+    }
+  }
 
   // The DOACROSS gates, on the fixtures above.
   std::unique_ptr<Module> CM =

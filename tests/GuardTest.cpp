@@ -313,7 +313,8 @@ public:
     uint32_t Site;
   };
   std::vector<Block> Heap;
-  std::map<uint32_t, uint32_t> LoadSite; // access id -> touched site
+  std::map<uint32_t, uint32_t> LoadSite;  // access id -> touched site
+  std::map<uint32_t, uint32_t> StoreSite; // access id -> touched site
 
   void onAlloc(const Allocation &A) override {
     if (A.Kind == AllocKind::Heap)
@@ -321,11 +322,20 @@ public:
   }
   void onLoad(AccessId Id, uint64_t Addr, uint64_t Size) override {
     (void)Size;
+    note(LoadSite, Id, Addr);
+  }
+  void onStore(AccessId Id, uint64_t Addr, uint64_t Size) override {
+    (void)Size;
+    note(StoreSite, Id, Addr);
+  }
+
+private:
+  void note(std::map<uint32_t, uint32_t> &Sites, AccessId Id, uint64_t Addr) {
     if (Id == InvalidAccessId)
       return;
     for (const Block &B : Heap)
       if (Addr - B.Base < B.Size) {
-        LoadSite[Id] = B.Site;
+        Sites[Id] = B.Site;
         break;
       }
   }
@@ -632,6 +642,409 @@ INSTANTIATE_TEST_SUITE_P(Engines, GuardFault,
                            }
                            return "Unknown";
                          });
+
+//===----------------------------------------------------------------------===//
+// DOACROSS rows: the same faults in loops that keep an ordered region (a
+// non-commutative recurrence on the global `acc`), in Check mode, on the
+// simulated bytecode engine and on host threads. Under host threads a
+// DOACROSS worker grabs iterations dynamically and indexes the copies (and
+// its guard shadow) by its slot, so the first occurrence of a violation is
+// asserted exactly only where it cannot depend on which worker grabbed
+// which iteration; attribution always names the virtual thread, as the
+// simulated engine computes it.
+//===----------------------------------------------------------------------===//
+
+/// The lie of the DOALL rows, told only about heap accesses: the carried
+/// flow into them and their exposure are dropped, while the global `acc`
+/// recurrence keeps its edges and so its ordered region.
+LoopDepGraph lieAboutHeap(const char *Src, LoopDepGraph G) {
+  std::unique_ptr<Module> M = parseMiniCOrDie(Src, "guard heap spy");
+  CompilationSession(*M).candidateLoops(); // numbers the accesses
+  HeapSpy Spy;
+  Interp I(*M);
+  I.setObserver(&Spy);
+  EXPECT_FALSE(I.run().Trapped);
+  auto onHeap = [&](uint32_t Id) {
+    return Spy.LoadSite.count(Id) || Spy.StoreSite.count(Id);
+  };
+  std::set<DepEdge> Kept;
+  for (const DepEdge &E : G.Edges)
+    if (!(E.Carried && E.Kind == DepKind::Flow &&
+          (onHeap(E.Src) || onHeap(E.Dst))))
+      Kept.insert(E);
+  G.Edges = std::move(Kept);
+  std::erase_if(G.UpwardsExposedLoads, onHeap);
+  std::erase_if(G.DownwardsExposedStores, onHeap);
+  return G;
+}
+
+/// Engine and thread count of one DOACROSS row.
+using DoacrossParam = std::tuple<ExecEngine, int>;
+
+class GuardFaultDoacross : public ::testing::TestWithParam<DoacrossParam> {
+protected:
+  ExecEngine engine() const { return std::get<0>(GetParam()); }
+  int threads() const { return std::get<1>(GetParam()); }
+  /// Threaded runs repeat, so the assertions hold across schedules.
+  int reps() const { return engine() == ExecEngine::Threads ? 20 : 1; }
+
+  /// A Check-mode run of \p M on \p E at \p N threads.
+  static RunResult check(Module &M, std::shared_ptr<const GuardPlan> Plan,
+                         ExecEngine E, int N,
+                         DiagnosticEngine *Diags = nullptr) {
+    InterpOptions IO;
+    IO.NumThreads = N;
+    IO.Engine = E;
+    IO.Guard = GuardMode::Check;
+    IO.GuardPlans.push_back(std::move(Plan));
+    IO.GuardDiags = Diags;
+    return Interp(M, IO).run();
+  }
+
+  /// Every parallel loop of \p M ran on host threads (on the threads
+  /// engine): the rows must exercise the threaded guard, not the simulated
+  /// one.
+  void expectThreaded(const RunResult &R) const {
+    if (engine() != ExecEngine::Threads)
+      return;
+    for (const auto &[Id, L] : R.Loops) {
+      if (L.Kind == ParallelKind::None)
+        continue;
+      EXPECT_EQ(L.Paths[static_cast<unsigned>(ThreadedPath::Threaded)],
+                L.Invocations)
+          << "loop " << Id;
+    }
+  }
+
+  void expectStaleTableEscape(const char *Src, const ExpectedViolation &Want);
+
+  /// The first (deduplicated) entry of kind \p K, or null.
+  static const DependenceViolation *firstOf(const RunResult &R,
+                                            ViolationKind K) {
+    for (const DependenceViolation &V : R.Violations)
+      if (V.Kind == K)
+        return &V;
+    return nullptr;
+  }
+
+  /// Check mode detects the injected kind in every repetition, and its first
+  /// occurrence has the attribution \p Want (thread -1: the thread the
+  /// simulated bytecode engine names) and the simulated engine's class.
+  void expectDoacrossFault(Transformed &T,
+                           std::shared_ptr<const GuardPlan> Plan,
+                           const ExpectedViolation &Want) const {
+    ASSERT_TRUE(Plan && !Plan->empty());
+    RunResult Sim = check(*T.M, Plan, ExecEngine::Bytecode, threads());
+    const DependenceViolation *SV = firstOf(Sim, Want.Kind);
+    ASSERT_NE(SV, nullptr) << "fault not detected by the simulated engine";
+    for (int Rep = 0; Rep != reps(); ++Rep) {
+      SCOPED_TRACE("rep " + std::to_string(Rep));
+      DiagnosticEngine Diags;
+      RunResult R = check(*T.M, Plan, engine(), threads(), &Diags);
+      ASSERT_FALSE(R.Trapped) << R.TrapMessage;
+      expectThreaded(R);
+      const DependenceViolation *V = firstOf(R, Want.Kind);
+      ASSERT_NE(V, nullptr) << "fault not detected";
+      EXPECT_EQ(V->LoopId, T.LoopId) << V->str();
+      EXPECT_EQ(V->ClassIndex, SV->ClassIndex) << V->str();
+      EXPECT_EQ(V->Iteration, static_cast<uint64_t>(Want.Iter)) << V->str();
+      EXPECT_EQ(V->Thread, Want.Thread >= 0 ? Want.Thread : SV->Thread)
+          << V->str();
+      auto It = Plan->PrivateClassOf.find(V->Access);
+      if (It != Plan->PrivateClassOf.end()) {
+        EXPECT_EQ(V->ClassIndex, It->second) << V->str();
+      }
+      EXPECT_GE(R.Loops.at(T.LoopId).GuardViolations, 1u);
+      bool SawGuardError = false;
+      for (const Diagnostic &D : Diags.diagnostics())
+        SawGuardError |= D.Pass == "guard" && D.Severity == DiagSeverity::Error;
+      EXPECT_TRUE(SawGuardError);
+    }
+  }
+};
+
+/// Compiles \p Src's first candidate loop under \p G and requires a guarded
+/// DOACROSS loop with at least one ordered region.
+Transformed doacrossWith(const char *Src, const LoopDepGraph &G) {
+  Transformed T = transformWith(Src, G);
+  EXPECT_TRUE(T.PR.Ok) << firstError(T.PR);
+  EXPECT_EQ(T.PR.Plan.Kind, ParallelKind::DOACROSS);
+  EXPECT_GE(T.PR.Plan.OrderedRegions, 1u);
+  EXPECT_TRUE(T.PR.Guard) << "fault injection privatized nothing";
+  return T;
+}
+
+const char *DoacrossUpSrc = R"(
+  long acc;
+  int main() {
+    int* buf = malloc(4 * sizeof(int));
+    buf[0] = 100;
+    @candidate for (int i = 0; i < 8; i++) {
+      int s = buf[0];
+      buf[0] = s + i;
+      acc = acc * 3 + buf[0];
+    }
+    print_int(acc);
+    free(buf);
+    return 0;
+  }
+)";
+
+TEST_P(GuardFaultDoacross, UpwardsExposedLoad) {
+  unsigned LoopId;
+  LoopDepGraph True = profiled(DoacrossUpSrc, LoopId);
+  ASSERT_FALSE(True.UpwardsExposedLoads.empty());
+  Transformed T =
+      doacrossWith(DoacrossUpSrc, lieAboutHeap(DoacrossUpSrc, True));
+  ASSERT_FALSE(HasFatalFailure());
+  // Iteration 0 is the first any worker grabs, and it runs on virtual
+  // thread 0: its read of buf[0] finds its copy never written, whichever
+  // worker's copy that is.
+  expectDoacrossFault(T, T.PR.Guard,
+                      {ViolationKind::UpwardsExposedLoad, 0, 0});
+}
+
+const char *DoacrossCarriedSrc = R"(
+  long acc;
+  int main() {
+    int* buf = malloc(4 * sizeof(int));
+    buf[0] = 7;
+    @candidate for (int i = 0; i < 8; i++) {
+      if (i > 0) {
+        acc = acc * 3 + buf[0];
+      }
+      buf[0] = i * 3 + 1;
+    }
+    print_int(acc);
+    free(buf);
+    return 0;
+  }
+)";
+
+TEST_P(GuardFaultDoacross, LoopCarriedFlow) {
+  unsigned LoopId;
+  LoopDepGraph True = profiled(DoacrossCarriedSrc, LoopId);
+  Transformed T = doacrossWith(DoacrossCarriedSrc,
+                               lieAboutHeap(DoacrossCarriedSrc, True));
+  ASSERT_FALSE(HasFatalFailure());
+  // Whether iteration 1 reads a copy iteration 0 already wrote depends on
+  // the schedule, so only detection, loop and class are pinned. Eight
+  // iterations on at most four workers put two on one worker (on one
+  // virtual thread, in the simulated engine), and the later one reads the
+  // earlier one's write: a carried flow is always seen.
+  for (int Rep = 0; Rep != reps(); ++Rep) {
+    SCOPED_TRACE("rep " + std::to_string(Rep));
+    RunResult R = check(*T.M, T.PR.Guard, engine(), threads());
+    ASSERT_FALSE(R.Trapped) << R.TrapMessage;
+    expectThreaded(R);
+    bool SawCarried = false;
+    for (const DependenceViolation &V : R.Violations) {
+      EXPECT_EQ(V.LoopId, T.LoopId) << V.str();
+      auto It = T.PR.Guard->PrivateClassOf.find(V.Access);
+      ASSERT_NE(It, T.PR.Guard->PrivateClassOf.end()) << V.str();
+      EXPECT_EQ(V.ClassIndex, It->second) << V.str();
+      SawCarried |= V.Kind == ViolationKind::CarriedFlow;
+    }
+    EXPECT_TRUE(SawCarried) << "carried flow not detected";
+  }
+}
+
+const char *DoacrossSpanSrc = R"(
+  long acc;
+  int main() {
+    int* table = malloc(16 * sizeof(int));
+    for (int k = 0; k < 16; k++) { table[k] = k * 5; }
+    int* tmp = malloc(4 * sizeof(int));
+    @candidate for (int i = 0; i < 8; i++) {
+      for (int k = 0; k < 4; k++) { tmp[k] = i + k; }
+      int b = 0;
+      for (int k = 0; k < 16; k++) { b = b + table[k] * tmp[k % 4]; }
+      acc = acc * 3 + b;
+    }
+    print_int(acc);
+    free(tmp);
+    free(table);
+    return 0;
+  }
+)";
+
+/// The stale plan of the span rows: it claims \p Src's shared table as a
+/// private region and its load as a private access. Every copy index
+/// escapes its span on a read of the whole table, so the first escape is
+/// that of the first iteration to read it, \p Want.
+void GuardFaultDoacross::expectStaleTableEscape(const char *Src,
+                                                const ExpectedViolation &Want) {
+  unsigned LoopId;
+  LoopDepGraph True = profiled(Src, LoopId);
+  Transformed T = doacrossWith(Src, True);
+  ASSERT_FALSE(HasFatalFailure());
+  HeapSpy Spy;
+  {
+    Interp I(*T.M);
+    I.setObserver(&Spy);
+    ASSERT_FALSE(I.run().Trapped);
+  }
+  uint32_t VictimId = 0, VictimSite = 0;
+  for (const auto &[Id, Site] : Spy.LoadSite)
+    if (Site && !T.PR.Guard->RegionSites.count(Site) &&
+        !T.PR.Guard->PrivateClassOf.count(Id)) {
+      VictimId = Id;
+      VictimSite = Site;
+      break;
+    }
+  ASSERT_NE(VictimId, 0u) << "no shared heap load to misattribute";
+  auto Mut = std::make_shared<GuardPlan>(*T.PR.Guard);
+  Mut->PrivateClassOf[VictimId] = 0;
+  Mut->RegionSites.insert(VictimSite);
+  expectDoacrossFault(T, Mut, Want);
+}
+
+TEST_P(GuardFaultDoacross, SpanEscape) {
+  // Every iteration reads the whole table: the first escape is iteration
+  // 0's, on virtual thread 0. (Reads inside the running copy's own span come
+  // first on some copies and are reported as upwards-exposed.)
+  expectStaleTableEscape(DoacrossSpanSrc, {ViolationKind::SpanEscape, 0, 0});
+}
+
+const char *DoacrossLateSpanSrc = R"(
+  long acc;
+  int main() {
+    int* table = malloc(16 * sizeof(int));
+    for (int k = 0; k < 16; k++) { table[k] = k * 5; }
+    int* tmp = malloc(4 * sizeof(int));
+    @candidate for (int i = 0; i < 8; i++) {
+      for (int k = 0; k < 4; k++) { tmp[k] = i + k; }
+      int b = tmp[i % 4];
+      if (i == 5) {
+        for (int k = 0; k < 16; k++) { b = b + table[k] * tmp[k % 4]; }
+      }
+      acc = acc * 3 + b;
+    }
+    print_int(acc);
+    free(tmp);
+    free(table);
+    return 0;
+  }
+)";
+
+TEST_P(GuardFaultDoacross, SpanEscapeAtLaterIteration) {
+  // Only iteration 5 reads the table. Whichever worker grabbed it, the
+  // escape names the virtual thread the simulated engine runs iteration 5
+  // on.
+  expectStaleTableEscape(DoacrossLateSpanSrc,
+                         {ViolationKind::SpanEscape, 5, -1});
+}
+
+const char *DoacrossDownSrc = R"(
+  long acc;
+  int main() {
+    int* hist = malloc(16 * sizeof(int));
+    for (int k = 0; k < 16; k++) { hist[k] = k; }
+    int* tmp = malloc(4 * sizeof(int));
+    @candidate for (int i = 0; i < 8; i++) {
+      for (int k = 0; k < 4; k++) { tmp[k] = i * 10 + k; }
+      int b = 0;
+      for (int k = 0; k < 4; k++) { b = b + tmp[k]; }
+      hist[15] = b;
+      acc = acc * 3 + b;
+    }
+    int* out = malloc(16 * sizeof(int));
+    @candidate for (int j = 0; j < 16; j++) { out[j] = hist[j] * 2; }
+    print_int(acc + out[3] + out[7] + out[15]);
+    free(out);
+    free(tmp);
+    free(hist);
+    return 0;
+  }
+)";
+
+TEST_P(GuardFaultDoacross, DownwardsExposedStore) {
+  unsigned LoopId;
+  LoopDepGraph True = profiled(DoacrossDownSrc, LoopId);
+  Transformed T = doacrossWith(DoacrossDownSrc, True);
+  ASSERT_FALSE(HasFatalFailure());
+  // The reader is a second parallel loop.
+  std::vector<unsigned> Cands = CompilationSession(*T.M).candidateLoops();
+  ASSERT_EQ(Cands.size(), 2u);
+  PipelineResult Reader = CompilationSession(*T.M).compileLoop(Cands[1]);
+  ASSERT_TRUE(Reader.Ok) << firstError(Reader);
+  ASSERT_EQ(Reader.Plan.Kind, ParallelKind::DOALL);
+  // The stale plan claims the shared `hist` block as an expanded region,
+  // which puts every iteration's hist[15] store in a thread copy other
+  // than 0 whatever the schedule: at commit the guard finds the serially
+  // final value (iteration 7's) stranded there, arms the post-loop watch,
+  // and the reader loop's load of the matching copy-0 bytes hits it. The
+  // watch carries the writer's iteration and virtual thread.
+  HeapSpy Spy;
+  {
+    Interp I(*T.M);
+    I.setObserver(&Spy);
+    ASSERT_FALSE(I.run().Trapped);
+  }
+  // `hist` is the program's first heap allocation.
+  ASSERT_FALSE(Spy.Heap.empty());
+  uint32_t HistSite = Spy.Heap.front().Site;
+  ASSERT_FALSE(T.PR.Guard->RegionSites.count(HistSite));
+  auto Mut = std::make_shared<GuardPlan>(*T.PR.Guard);
+  Mut->RegionSites.insert(HistSite);
+  expectDoacrossFault(T, Mut,
+                      {ViolationKind::DownwardsExposedStore, 7, -1});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, GuardFaultDoacross,
+    ::testing::Combine(::testing::Values(ExecEngine::Bytecode,
+                                         ExecEngine::Threads),
+                       ::testing::Values(2, 4)),
+    [](const auto &Info) {
+      return std::string(std::get<0>(Info.param) == ExecEngine::Threads
+                             ? "Threads"
+                             : "Bytecode") +
+             "_N" + std::to_string(std::get<1>(Info.param));
+    });
+
+TEST(GuardWatchdog, GuardedDoacrossRerunMatchesSimulated) {
+  // A guarded DOACROSS invocation on host threads whose ticket frontier an
+  // injected lane delay wedges: the watchdog rolls it back and re-runs it on
+  // the simulated path with its guard plan, so output, guard checks and
+  // violations (none: the plan is clean) equal a simulated run's.
+  unsigned LoopId;
+  LoopDepGraph True = profiled(DoacrossSpanSrc, LoopId);
+  Transformed T = doacrossWith(DoacrossSpanSrc, True);
+  ASSERT_FALSE(HasFatalFailure());
+  for (int N : {2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(N));
+    InterpOptions IO;
+    IO.NumThreads = N;
+    IO.Guard = GuardMode::Check;
+    IO.GuardPlans.push_back(T.PR.Guard);
+    IO.Engine = ExecEngine::Bytecode;
+    RunResult Sim = Interp(*T.M, IO).run();
+    ASSERT_FALSE(Sim.Trapped) << Sim.TrapMessage;
+
+    IO.Engine = ExecEngine::Threads;
+    IO.Resilience.WatchdogMs = 20;
+    std::string Err;
+    IO.Resilience.Faults = FaultInjector::parse("lane-delay@1,delay-ms=200", Err);
+    ASSERT_TRUE(IO.Resilience.Faults) << Err;
+    RunResult R = Interp(*T.M, IO).run();
+    ASSERT_FALSE(R.Trapped) << R.TrapMessage;
+    const LoopStats &L = R.Loops.at(T.LoopId);
+    EXPECT_EQ(L.Paths[static_cast<unsigned>(ThreadedPath::WatchdogRerun)], 1u);
+    EXPECT_EQ(L.Invocations, 1u);
+    EXPECT_EQ(L.WatchdogFires, 1u);
+    EXPECT_EQ(R.Output, Sim.Output);
+    EXPECT_EQ(R.WorkCycles, Sim.WorkCycles);
+    EXPECT_EQ(R.SimTime, Sim.SimTime);
+    const LoopStats &SL = Sim.Loops.at(T.LoopId);
+    EXPECT_GT(SL.GuardChecks, 0u);
+    EXPECT_EQ(L.GuardChecks, SL.GuardChecks);
+    EXPECT_EQ(L.GuardedInvocations, SL.GuardedInvocations);
+    EXPECT_EQ(L.GuardViolations, 0u);
+    EXPECT_TRUE(R.Violations.empty());
+    EXPECT_TRUE(Sim.Violations.empty());
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Mode plumbing.

@@ -19,14 +19,13 @@
 // whole measured-speedup story would be fiction. Without tsan it exits 0
 // (the lost updates are tolerated; the printed count is simply wrong).
 //
-// The race must be reportable in every build type, which takes two things.
-// Bounds checks are off: with them on, every VM access looks its address up
-// under VMMemory's registry lock, and those lock handoffs order most of the
-// racing accesses for tsan. And the loop also races on a double: g++ expands
-// the VM's variable-size integer memcpy inline after the tsan pass, so at
-// -O2 the int accumulator's accesses are not instrumented at all, while the
-// fixed-size double accesses are. The int race stays in the loop; the double
-// is the one an -O2 g++ build reports.
+// The race must be reportable in every build type. Bounds checks are off:
+// with them on, every VM access looks its address up under VMMemory's
+// registry lock, and those lock handoffs order most of the racing accesses
+// for tsan. The loop races on an int and on a double; the VM reads and
+// writes each scalar kind with a fixed-size copy, which tsan instruments at
+// -O0 and -O2 alike (a variable-size integer copy used to be expanded
+// inline after g++'s tsan pass, which hid the int race at -O2).
 //
 //===----------------------------------------------------------------------===//
 
