@@ -149,6 +149,10 @@ const LoopDepGraph *AnalysisManager::depGraph(unsigned LoopId,
       TR->bumpCounter("profile.accesses", Prof.Stats.Accesses);
       TR->bumpCounter("profile.bytes", Prof.Stats.Bytes);
       TR->bumpCounter("profile.dropped_reads", Prof.Stats.DroppedReads);
+      // The shadow runs on a helper thread: its busy time overlaps the VM
+      // run, and the VM thread's wait on it is part of analysis.profile.
+      TR->recordOverlapping("analysis.profile.shadow", Prof.Stats.ShadowNs);
+      TR->recordOverlapping("analysis.profile.wait", Prof.Stats.WaitNs);
     }
     if (!Prof.Run.ok()) {
       Entry.FailDiag = DE.error("profiling run failed: " + Prof.Run.TrapMessage);

@@ -20,7 +20,8 @@ using namespace gdse;
 
 ThreadState::ThreadState(ProgramContext &P)
     : P(P), M(P.M), Ctx(P.Ctx), Opts(P.Opts), Mem(P.Mem),
-      DeadlineArmed(P.Opts.Resilience.Budget.DeadlineMs != 0) {}
+      DeadlineArmed(P.Opts.Resilience.Budget.DeadlineMs != 0),
+      BoundsCheck(P.Opts.BoundsCheck) {}
 
 ThreadState::~ThreadState() = default;
 
@@ -133,9 +134,8 @@ ScalarKind gdse::scalarKindOf(const Type *T) {
   }
 }
 
-bool ThreadState::checkAccess(uint64_t Addr, uint64_t Size, const char *What) {
-  if (!Opts.BoundsCheck)
-    return true;
+bool ThreadState::checkAccessSlow(uint64_t Addr, uint64_t Size,
+                                  const char *What) {
   if (Addr == 0) {
     trap(formatString("null %s of %llu bytes", What,
                       static_cast<unsigned long long>(Size)));

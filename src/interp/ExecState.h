@@ -170,6 +170,8 @@ struct ThreadState {
   /// Constructor-time constant: a wall-clock deadline is configured for this
   /// run (Opts.Resilience.Budget.DeadlineMs != 0).
   const bool DeadlineArmed;
+  /// Constructor-time constant: Opts.BoundsCheck.
+  const bool BoundsCheck;
 
   bool Trapped = false;
   bool Halted = false;
@@ -392,7 +394,17 @@ struct ThreadState {
     return Addr;
   }
 
-  bool checkAccess(uint64_t Addr, uint64_t Size, const char *What);
+  /// True when [Addr, Addr+Size) may be accessed; traps otherwise. Answered
+  /// inline when bounds checks are off or the access falls in one of the
+  /// registry's recently used allocations.
+  bool checkAccess(uint64_t Addr, uint64_t Size, const char *What) {
+    if (!BoundsCheck || Mem.inRecent(Addr, Size)) [[likely]]
+      return true;
+    return checkAccessSlow(Addr, Size, What);
+  }
+  /// checkAccess's out-of-line half: asks the registry, and traps with the
+  /// null or out-of-bounds message.
+  bool checkAccessSlow(uint64_t Addr, uint64_t Size, const char *What);
 
   static int64_t normalizeInt(int64_t V, unsigned Bits, bool Signed) {
     if (Bits == 64)

@@ -186,8 +186,7 @@ bool VMMemory::deallocate(uint64_t Base) {
     return false;
   CurBytes.store(currentBytes() - It->second.Size, std::memory_order_relaxed);
   --NumLive;
-  if (LastHit == &It->second)
-    LastHit = nullptr;
+  forget(It->second);
   if (Speculating && It->second.Generation < SpecBeginGeneration) {
     // Pre-checkpoint block freed under speculation: keep the host block (the
     // address must stay reserved so rollback can resurrect it) and the
@@ -228,8 +227,7 @@ void VMMemory::releaseUntracked(uint64_t Base) {
   auto It = ByBase.find(Base);
   if (It == ByBase.end() || !It->second.Untracked)
     reportFatalError("VMMemory: releaseUntracked of a tracked block");
-  if (LastHit == &It->second)
-    LastHit = nullptr;
+  forget(It->second);
   ::operator delete(reinterpret_cast<void *>(Base));
   ByBase.erase(It);
 }
@@ -240,8 +238,8 @@ void VMMemory::beginConcurrent() {
   // Running inside a speculation checkpoint is allowed: the watchdog
   // recovery path checkpoints the arena, then fans iterations out to real
   // threads. endConcurrent() keeps the checkpoint's invariants.
-  // The cache slot must not be touched (even read) while workers run.
-  LastHit = nullptr;
+  // From here until endConcurrent() the lookup cache is neither read
+  // (inRecent, containing) nor written.
   Concurrent = true;
 }
 
@@ -263,7 +261,7 @@ void VMMemory::endConcurrent() {
     ByBase.erase(Base);
   }
   ConcQuarantine.clear();
-  LastHit = nullptr;
+  clearRecent();
 }
 
 void VMMemory::attach(MemWorker &W) { TLWorker = &W; }
@@ -302,7 +300,7 @@ void VMMemory::commitSpeculation() {
   }
   SpecQuarantine.clear();
   SpecSnapshot.clear();
-  LastHit = nullptr;
+  clearRecent();
   Speculating = false;
 }
 
@@ -334,7 +332,7 @@ void VMMemory::rollbackSpeculation() {
   NextGeneration.store(SpecBeginGeneration);
   SpecQuarantine.clear();
   SpecSnapshot.clear();
-  LastHit = nullptr;
+  clearRecent();
   Speculating = false;
 }
 
@@ -345,7 +343,7 @@ const Allocation *VMMemory::containing(uint64_t Addr) const {
     if (const MemWorker *W = TLWorker)
       if (Addr - W->chunkBase() < MemWorker::ChunkBytes)
         return W->frameContaining(Addr);
-    // No last-hit cache here: the slot is written by const lookups and would
+    // No lookup cache here: the set is written by const lookups and would
     // race between concurrent readers (the bug this mode exists to avoid).
     std::lock_guard<std::mutex> Lock(Mu);
     auto It = ByBase.upper_bound(Addr);
@@ -358,15 +356,15 @@ const Allocation *VMMemory::containing(uint64_t Addr) const {
     noteHolder(A);
     return &A;
   }
-  // Fast path: repeated accesses into the block we answered last time. The
-  // Live check is load-bearing: every path that kills or erases an entry
-  // must null the cache slot (deallocate, releaseUntracked, the concurrent
-  // and speculation transitions), but a stale hit here would resurrect a
-  // freed block whose address the host allocator may already have recycled
-  // for a different allocation — so a dead cached entry is never trusted.
-  if (LastHit && LastHit->Live &&
-      Addr - LastHit->Base < std::max<uint64_t>(LastHit->Size, 1))
-    return LastHit;
+  // The Live check is load-bearing: every path that kills or erases an
+  // entry must drop it from the set (deallocate, releaseUntracked, the
+  // concurrent and speculation transitions), but a stale hit here would
+  // resurrect a freed block whose address the host allocator may already
+  // have recycled for a different allocation — so a dead cached entry is
+  // never trusted.
+  for (const Allocation *A : Recent)
+    if (A && A->Live && Addr - A->Base < std::max<uint64_t>(A->Size, 1))
+      return A;
   auto It = ByBase.upper_bound(Addr);
   if (It == ByBase.begin())
     return nullptr;
@@ -374,8 +372,15 @@ const Allocation *VMMemory::containing(uint64_t Addr) const {
   const Allocation &A = It->second;
   if (!A.Live || Addr >= A.Base + std::max<uint64_t>(A.Size, 1))
     return nullptr;
-  LastHit = &A;
+  std::copy_backward(Recent, Recent + RecentSize - 1, Recent + RecentSize);
+  Recent[0] = &A;
   return &A;
+}
+
+void VMMemory::forget(const Allocation &A) {
+  for (const Allocation *&Slot : Recent)
+    if (Slot == &A)
+      Slot = nullptr;
 }
 
 const Allocation *VMMemory::byBase(uint64_t Base) const {

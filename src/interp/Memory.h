@@ -19,11 +19,14 @@
 ///  - current/peak byte accounting (Figure 14).
 ///
 /// The registry has two operating modes. In the default serial mode there is
-/// no locking and containing() uses a single-slot last-hit cache. Inside a
+/// no locking, and a lookup first checks the last four allocations the tree
+/// probe returned, which catches accesses that alternate between a stack
+/// frame and a few heap blocks; the same set answers the inline half of a
+/// bounds check (inRecent). Inside a
 /// host-threaded parallel loop (ThreadedLoop.cpp) the arena is in
 /// *concurrent mode*:
-///  - heap and global registry operations take a mutex, and the last-hit
-///    cache is neither read nor written (it was mutated on every lookup and
+///  - heap and global registry operations take a mutex, and the lookup
+///    cache is neither read nor written (it is mutated on every lookup and
 ///    would race between concurrent readers);
 ///  - each worker pushes its call frames on a private LIFO arena (MemWorker)
 ///    carved from a chunk allocated before the workers start, so a call
@@ -159,6 +162,30 @@ public:
   /// Returns the live allocation containing \p Addr, or null.
   const Allocation *containing(uint64_t Addr) const;
 
+  /// True when [Addr, Addr+Size) lies within one of the allocations in the
+  /// lookup cache. False says nothing: the caller asks inBounds(). Never
+  /// reads the cache in concurrent mode.
+  bool inRecent(uint64_t Addr, uint64_t Size) const {
+    if (Concurrent)
+      return false;
+    for (const Allocation *A : Recent) {
+      if (!A || !A->Live)
+        continue;
+      uint64_t Off = Addr - A->Base;
+      if (Off < A->Size)
+        return Size <= A->Size - Off;
+    }
+    return false;
+  }
+
+  /// Entries held by the lookup cache (for tests).
+  unsigned cachedLookups() const {
+    unsigned N = 0;
+    for (const Allocation *A : Recent)
+      N += A != nullptr;
+    return N;
+  }
+
   /// Returns the live allocation with base \p Base, or null.
   const Allocation *byBase(uint64_t Base) const;
 
@@ -263,15 +290,18 @@ private:
   // The registry is a sorted interval structure keyed by base address
   // (allocations never overlap, so base order is interval order); lookup is
   // an upper_bound probe on the predecessor interval. std::map keeps node
-  // addresses stable across inserts, which the last-hit cache relies on.
+  // addresses stable across inserts, which the lookup cache relies on.
   std::map<uint64_t, Allocation> ByBase;
   // Accesses are heavily clustered (a loop walking one array hits the same
-  // allocation millions of times), so containing() first re-checks the last
-  // allocation it returned before probing the tree — O(1) amortized. The
-  // cache is a single mutable slot written by const lookups, so concurrent
-  // mode must not touch it at all (reads and writes both race); it is
-  // invalidated when the cached allocation is freed.
-  mutable const Allocation *LastHit = nullptr;
+  // allocation millions of times, and interleaves it with its frame and a
+  // few other blocks), so containing() checks the allocations the tree
+  // probe returned last, newest first, before probing the tree again. The
+  // set is written by const lookups, so concurrent mode must not touch it
+  // at all (reads and writes both race); an entry is dropped when its
+  // allocation is freed, and the whole set when concurrent mode or a
+  // speculation ends.
+  static constexpr unsigned RecentSize = 4;
+  mutable const Allocation *Recent[RecentSize] = {};
   /// Atomic because worker frame pushes charge it without Mu when a byte
   /// budget is set.
   std::atomic<uint64_t> CurBytes{0};
@@ -300,6 +330,12 @@ private:
   /// Adds \p Size to CurBytes unless the byte budget would be exceeded.
   bool chargeBytes(uint64_t Size);
   uint64_t pushFrame(MemWorker &W, uint64_t Size, uint32_t SiteId);
+  /// Drops \p A from the lookup cache.
+  void forget(const Allocation &A);
+  void clearRecent() {
+    for (const Allocation *&Slot : Recent)
+      Slot = nullptr;
+  }
 };
 
 } // namespace gdse

@@ -7,6 +7,8 @@
 
 #include "profile/DepProfiler.h"
 
+#include "profile/EventRing.h"
+
 #include "support/Support.h"
 
 #include <algorithm>
@@ -101,9 +103,10 @@ DepProfiler::Page *DepProfiler::fillSlot(PageSlot &Slot, uint64_t Key,
   }
   if (!Slot.P && Create) {
     // Anonymous mappings read as zero (a missing page reads as all-zero
-    // cells too), keep host pages of never-touched cells unresident, and
-    // go back to the kernel when the profiler ends. From the heap, 160 KiB
-    // blocks recycled across profiling runs would be zeroed in full.
+    // cells and an all-clear bitmap too), keep host pages of never-touched
+    // cells unresident, and go back to the kernel when the profiler ends.
+    // From the heap, 160 KiB blocks recycled across profiling runs would be
+    // zeroed in full.
     void *Mem = mmap(nullptr, sizeof(Page), PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (Mem == MAP_FAILED)
@@ -116,13 +119,13 @@ DepProfiler::Page *DepProfiler::fillSlot(PageSlot &Slot, uint64_t Key,
   return Slot.P;
 }
 
-inline DepProfiler::Cell *DepProfiler::cells(uint64_t Addr, bool Create) {
+inline DepProfiler::Page *DepProfiler::page(uint64_t Addr, bool Create) {
   uint64_t Key = Addr >> PageBits;
   PageSlot &Slot = PageCache[Key % PageCacheSize];
   Page *P = Slot.P;
   if (Slot.Key != Key || (!P && Create)) [[unlikely]]
     P = fillSlot(Slot, Key, Create);
-  return P ? P->Cells + (Addr & (PageCells - 1)) : nullptr;
+  return P;
 }
 
 inline void DepProfiler::mark(std::vector<uint8_t> &Flags, AccessId Id) {
@@ -187,7 +190,7 @@ inline void DepProfiler::storeByte(Cell &C, AccessId Id) {
               /*Carried=*/C.ReaderSeqs[I] < CurSeq);
   C.Writer = Id;
   C.WriteSeq = CurSeq;
-  // Clear the ids too, so cells with one logical state compare equal.
+  // Clear the ids too, so a cell with no write and no reader is all zero.
   std::memset(C.ReaderIds, 0, sizeof(C.ReaderIds));
   std::memset(C.ReaderSeqs, 0, sizeof(C.ReaderSeqs));
 }
@@ -199,22 +202,69 @@ template <bool IsWrite> inline void DepProfiler::step(Cell &C, AccessId Id) {
     loadByte(C, Id);
 }
 
-bool DepProfiler::uniform(const Cell *C, uint64_t N) {
-  // Cells have no padding, and unused reader slots are always zero, so
-  // two cells hold the same state exactly when their bytes are equal.
-  for (uint64_t K = 1; K != N; ++K)
-    if (std::memcmp(&C[K], &C[0], sizeof(Cell)) != 0)
-      return false;
-  return true;
+void DepProfiler::materialise(Page &P, uint64_t G) {
+  Cell *C = P.Cells + G * GranuleCells;
+  for (uint64_t K = 1; K != GranuleCells; ++K)
+    C[K] = C[0];
+  P.setSplit(G);
 }
 
 void DepProfiler::wipeRange(uint64_t Addr, uint64_t Size) {
   while (Size != 0) {
-    uint64_t N = std::min(Size, PageCells - (Addr & (PageCells - 1)));
-    if (Cell *C = cells(Addr, /*Create=*/false))
-      std::memset(C, 0, N * sizeof(Cell));
+    uint64_t Off = Addr & (PageCells - 1);
+    uint64_t N = std::min(Size, PageCells - Off);
+    if (Page *P = page(Addr, /*Create=*/false)) {
+      uint64_t End = Off + N;
+      // A granule the range covers only in part keeps its other bytes'
+      // state, so it must hold one state per byte first. A uniform granule
+      // that was never touched (an all-zero cell) stays uniform.
+      for (uint64_t G : {Off / GranuleCells, (End - 1) / GranuleCells}) {
+        const Cell &C = P->Cells[G * GranuleCells];
+        bool Partial = G * GranuleCells < Off ||
+                       (G + 1) * GranuleCells > End;
+        if (Partial && !P->split(G) &&
+            (C.WriteSeq != 0 || C.ReaderSeqs[0] != 0))
+          materialise(*P, G);
+      }
+      std::memset(P->Cells + Off, 0, N * sizeof(Cell));
+      // Granules wiped whole are uniform again.
+      for (uint64_t G = (Off + GranuleCells - 1) / GranuleCells;
+           G < End / GranuleCells; ++G)
+        P->clearSplit(G);
+    }
     Addr += N;
     Size -= N;
+  }
+}
+
+template <bool IsWrite>
+inline void DepProfiler::stepCells(Page &P, uint64_t Off, uint64_t N,
+                                   AccessId Id) {
+  const uint64_t End = Off + N;
+  while (Off != End) {
+    uint64_t G = Off / GranuleCells;
+    uint64_t Base = G * GranuleCells;
+    uint64_t Stop = std::min(End, Base + GranuleCells);
+    bool Whole = Off == Base && Stop == Base + GranuleCells;
+    if (!P.split(G)) {
+      if (Whole || (!IsWrite && CurSeq == 0)) {
+        // One shadow state for every byte, stepped once: a whole-granule
+        // access changes all four bytes alike, and a load outside the loop
+        // changes none. Edges and exposure marks are sets, so only the
+        // dropped-read count needs scaling by the byte count.
+        uint64_t Dropped = Stats.DroppedReads;
+        step<IsWrite>(P.Cells[Base], Id);
+        Stats.DroppedReads += (Stats.DroppedReads - Dropped) * (Stop - Off - 1);
+        Off = Stop;
+        continue;
+      }
+      materialise(P, G);
+    }
+    for (; Off != Stop; ++Off)
+      step<IsWrite>(P.Cells[Off], Id);
+    // A store over the whole granule leaves its four cells equal.
+    if (IsWrite && Whole)
+      P.clearSplit(G);
   }
 }
 
@@ -233,24 +283,12 @@ void DepProfiler::access(AccessId Id, uint64_t Addr, uint64_t Size) {
     ++DynCount[Id];
   }
   while (Size != 0) {
-    uint64_t N = std::min(Size, PageCells - (Addr & (PageCells - 1)));
+    uint64_t Off = Addr & (PageCells - 1);
+    uint64_t N = std::min(Size, PageCells - Off);
     // Only in-loop accesses need a page: on a missing page every cell
     // reads as never written, so an outside load has nothing to see.
-    if (Cell *C = cells(Addr, /*Create=*/InLoop)) {
-      if (InLoop && uniform(C, N)) {
-        // One shadow state for every byte: step it once and replicate.
-        // Edges and exposure marks are sets, so only the dropped-read
-        // count needs scaling by the byte count.
-        uint64_t Dropped = Stats.DroppedReads;
-        step<IsWrite>(C[0], Id);
-        Stats.DroppedReads += (Stats.DroppedReads - Dropped) * (N - 1);
-        for (uint64_t K = 1; K != N; ++K)
-          C[K] = C[0];
-      } else {
-        for (uint64_t K = 0; K != N; ++K)
-          step<IsWrite>(C[K], Id);
-      }
-    }
+    if (Page *P = page(Addr, /*Create=*/InLoop))
+      stepCells<IsWrite>(*P, Off, N, Id);
     Addr += N;
     Size -= N;
   }
@@ -313,11 +351,18 @@ gdse::profileLoop(Module &M, unsigned TargetLoopId, const std::string &Entry,
   Opts.Engine = ExecEngine::Bytecode;
   Opts.Precompiled = std::move(Precompiled);
   DepProfiler Profiler(TargetLoopId);
-  Interp I(M, Opts);
-  I.setObserver(&Profiler);
   ProfileResult R;
-  R.Run = I.run(Entry);
+  {
+    Interp I(M, Opts);
+    EventRing Ring(Profiler);
+    I.setObserver(&Ring);
+    R.Run = I.run(Entry);
+    I.setObserver(nullptr);
+    Ring.finish();
+    R.Stats = Profiler.stats();
+    R.Stats.ShadowNs = Ring.sinkNs();
+    R.Stats.WaitNs = Ring.waitNs();
+  }
   R.Graph = Profiler.takeGraph();
-  R.Stats = Profiler.stats();
   return R;
 }

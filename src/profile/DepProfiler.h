@@ -35,6 +35,23 @@
 /// page therefore costs up to 160 KiB of shadow; pages are anonymous memory
 /// mappings, so host pages of cells never touched are never resident.
 ///
+/// Granules. A page's cells group into aligned 4-byte granules, and a
+/// per-page bitmap marks each granule uniform or split. A uniform granule's
+/// first cell holds the state of all four bytes (the other three are stale);
+/// a split granule's cells each hold their own byte's. An access that covers
+/// a uniform granule whole steps its one cell once, scaling the dropped-read
+/// count by four; a load outside the loop changes no state, so it reads a
+/// uniform granule's cell once whatever it covers. A partial or misaligned
+/// in-loop access first splits (materialises) the granule, copying the first
+/// cell to the other three, then steps its bytes one by one. A store that
+/// covers a split granule whole steps each byte (each may have another
+/// writer) and leaves the four cells equal, so the granule is uniform again.
+/// Wipes (alloc, free, a store outside the loop) zero the cells; a granule
+/// wiped only in part is split first unless its state is all zero, and a
+/// granule wiped whole is uniform again. So an int store is one step where
+/// the per-access scheme it replaces compared and copied every cell, and a
+/// char store into an int splits just that int's granule.
+///
 /// Stamps. One sequence number counts up at each iteration of the target
 /// loop, over all invocations; a cell's stamp is the sequence number of the
 /// iteration that wrote (or read) it, and 0 means "no in-loop write" (never
@@ -46,14 +63,21 @@
 /// before the sequence number would wrap, every stamp is renumbered in
 /// order (earlier invocations to 1, the current one from 2).
 ///
-/// An in-loop access whose bytes all share one cell state is stepped once
-/// and the new state copied to its other bytes; an access whose bytes
-/// differ (a char store into an int, say) is stepped byte by byte.
-///
 /// Results are batched: edges are deduplicated by a small direct-mapped
 /// cache in front of a hash set, dynamic counts and exposure flags live in
 /// dense vectors indexed by AccessId, and the graph's ordered containers
 /// are built once, in takeGraph().
+///
+/// Threads. profileLoop runs the VM on the calling thread and this state
+/// machine on a helper thread: the VM's observer is an EventRing
+/// (EventRing.h) that appends each event to a single-producer/
+/// single-consumer ring, and the helper replays the events into the
+/// DepProfiler in order. The profiler sees exactly the serial event stream,
+/// so the graph, every DynCount and the Accesses/Bytes/DroppedReads counts
+/// are those of a DepProfiler attached to the VM directly; only the
+/// timings differ. A run that traps still drains the ring before
+/// profileLoop returns, and an exception the shadow throws (an mmap that
+/// fails) is rethrown to profileLoop's caller.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,6 +108,11 @@ struct ProfileStats {
   /// maximum number of distinct readers; anti dependences from them are
   /// missed.
   uint64_t DroppedReads = 0;
+  /// Host nanoseconds profileLoop's helper thread spent replaying events
+  /// into the shadow, and the VM thread spent blocked on a full event ring
+  /// or on the final drain. Timings, not counters: they vary run to run.
+  uint64_t ShadowNs = 0;
+  uint64_t WaitNs = 0;
 };
 
 /// Observer that accumulates the dependence graph for one loop id.
@@ -110,6 +139,8 @@ public:
 private:
   static constexpr unsigned PageBits = 12;
   static constexpr uint64_t PageCells = uint64_t(1) << PageBits;
+  static constexpr uint64_t GranuleCells = 4;
+  static constexpr uint64_t PageGranules = PageCells / GranuleCells;
   static constexpr unsigned MaxReaders = 4;
 
   struct Cell {
@@ -121,9 +152,17 @@ private:
     /// 0 marks a free slot; used slots form a prefix.
     uint32_t ReaderSeqs[MaxReaders];
   };
-  static_assert(sizeof(Cell) == 40, "uniform() compares cells bytewise");
+  static_assert(sizeof(Cell) == 40, "a page of cells is 160 KiB");
   struct Page {
     Cell Cells[PageCells];
+    /// Bit G set: granule G (cells 4G..4G+3) is split, each cell holding
+    /// its own byte's state. Clear: the granule is uniform, Cells[4G] holds
+    /// the state of all four bytes and the other three cells are stale.
+    uint64_t Split[PageGranules / 64];
+
+    bool split(uint64_t G) const { return Split[G / 64] >> (G % 64) & 1; }
+    void setSplit(uint64_t G) { Split[G / 64] |= uint64_t(1) << (G % 64); }
+    void clearSplit(uint64_t G) { Split[G / 64] &= ~(uint64_t(1) << (G % 64)); }
   };
   struct PageDeleter {
     void operator()(Page *P) const;
@@ -136,14 +175,16 @@ private:
     size_t operator()(const DepEdge &E) const;
   };
 
-  Cell *cells(uint64_t Addr, bool Create);
+  Page *page(uint64_t Addr, bool Create);
   Page *fillSlot(PageSlot &Slot, uint64_t Key, bool Create);
   template <bool IsWrite>
   void access(AccessId Id, uint64_t Addr, uint64_t Size);
+  template <bool IsWrite>
+  void stepCells(Page &P, uint64_t Off, uint64_t N, AccessId Id);
   void loadByte(Cell &C, AccessId Id);
   void storeByte(Cell &C, AccessId Id);
   template <bool IsWrite> void step(Cell &C, AccessId Id);
-  static bool uniform(const Cell *C, uint64_t N);
+  static void materialise(Page &P, uint64_t G);
   void addEdge(AccessId Src, AccessId Dst, DepKind K, bool Carried);
   void mark(std::vector<uint8_t> &Flags, AccessId Id);
   void wipeRange(uint64_t Addr, uint64_t Size);
@@ -186,12 +227,13 @@ struct ProfileResult {
   ProfileStats Stats;
 };
 
-/// Executes \p Entry sequentially on the bytecode VM under a DepProfiler
-/// targeting \p TargetLoopId and returns the graph plus the run result. The
-/// run uses \p Precompiled when given (the AnalysisManager's cached
-/// per-module lowering) and lowers the module itself otherwise. The
-/// reference tree-walker produces the identical event stream when run with
-/// a DepProfiler observer (EngineDiffTest, CompilationSessionTest).
+/// Executes \p Entry sequentially on the bytecode VM, feeding a DepProfiler
+/// targeting \p TargetLoopId on a helper thread, and returns the graph plus
+/// the run result. The run uses \p Precompiled when given (the
+/// AnalysisManager's cached per-module lowering) and lowers the module
+/// itself otherwise. The reference tree-walker produces the identical event
+/// stream when run with a DepProfiler observer (ProfilerRingTest,
+/// EngineDiffTest, CompilationSessionTest).
 ProfileResult
 profileLoop(Module &M, unsigned TargetLoopId, const std::string &Entry = "main",
             std::shared_ptr<const BytecodeModule> Precompiled = nullptr);

@@ -16,7 +16,7 @@ PassTimingRecord &TimingRegistry::lookup(const std::string &Name) {
   if (It != Index.end())
     return Records[It->second];
   Index.emplace(Name, Records.size());
-  Records.push_back(PassTimingRecord{Name, 0, 0, 0});
+  Records.push_back(PassTimingRecord{Name, 0, 0, 0, false});
   return Records.back();
 }
 
@@ -26,6 +26,12 @@ void TimingRegistry::record(const std::string &Name, uint64_t WallNanos,
   ++R.Invocations;
   R.WallNanos += WallNanos;
   R.VmCycles += VmCycles;
+}
+
+void TimingRegistry::recordOverlapping(const std::string &Name,
+                                       uint64_t WallNanos) {
+  record(Name, WallNanos);
+  lookup(Name).Overlapping = true;
 }
 
 void TimingRegistry::addVmCycles(const std::string &Name, uint64_t Cycles) {
@@ -42,6 +48,7 @@ void TimingRegistry::merge(const TimingRegistry &Other) {
     Mine.Invocations += R.Invocations;
     Mine.WallNanos += R.WallNanos;
     Mine.VmCycles += R.VmCycles;
+    Mine.Overlapping |= R.Overlapping;
   }
   for (const auto &[Name, Value] : Other.Counters)
     Counters[Name] += Value;
@@ -55,7 +62,8 @@ uint64_t TimingRegistry::counter(const std::string &Counter) const {
 std::string TimingRegistry::timingReport() const {
   uint64_t TotalNanos = 0;
   for (const PassTimingRecord &R : Records)
-    TotalNanos += R.WallNanos;
+    if (!R.Overlapping)
+      TotalNanos += R.WallNanos;
   std::string Out;
   Out += "===---------------------------------------------------------===\n";
   Out += "                      ... Pass execution timing ...\n";

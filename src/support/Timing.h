@@ -39,6 +39,9 @@ struct PassTimingRecord {
   uint64_t WallNanos = 0;
   /// Simulated VM work cycles attributed to this stage (profiling runs).
   uint64_t VmCycles = 0;
+  /// The time overlaps other records' (a helper thread's work, or a part
+  /// of an enclosing stage), so the report's total leaves it out.
+  bool Overlapping = false;
 };
 
 class TimingRegistry {
@@ -46,6 +49,9 @@ public:
   /// Accumulates one finished invocation of \p Name.
   void record(const std::string &Name, uint64_t WallNanos,
               uint64_t VmCycles = 0);
+  /// Like record(), for time that overlaps other records (see
+  /// PassTimingRecord::Overlapping).
+  void recordOverlapping(const std::string &Name, uint64_t WallNanos);
   /// Adds simulated VM cycles to \p Name without a new invocation.
   void addVmCycles(const std::string &Name, uint64_t Cycles);
   /// Bumps the named statistic counter by \p Delta.
@@ -63,7 +69,8 @@ public:
   const std::map<std::string, uint64_t> &counters() const { return Counters; }
 
   /// `-time-passes`-style table: one row per record, columns for wall
-  /// milliseconds, share of total, invocations, and VM cycles.
+  /// milliseconds, share of total, invocations, and VM cycles. Overlapping
+  /// records are listed but not summed into the total.
   std::string timingReport() const;
   /// `-stats`-style listing of every named counter.
   std::string statsReport() const;

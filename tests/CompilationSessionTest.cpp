@@ -408,12 +408,21 @@ TEST(PassTiming, EveryStageIsAccounted) {
   ASSERT_TRUE(PR.Ok);
 
   bool SawProfile = false, SawExpansion = false, SawPlanner = false;
+  bool SawShadow = false;
   for (const PassTimingRecord &Rec : S.timing().records()) {
     if (Rec.Name == "analysis.profile") {
       SawProfile = true;
       EXPECT_EQ(Rec.Invocations, 1u);
       // Profiling executes the whole program under the VM.
       EXPECT_GT(Rec.VmCycles, 0u);
+      EXPECT_FALSE(Rec.Overlapping);
+    } else if (Rec.Name == "analysis.profile.shadow" ||
+               Rec.Name == "analysis.profile.wait") {
+      // The shadow's helper thread and the VM thread's wait on it overlap
+      // analysis.profile and stay out of the report's total.
+      SawShadow = true;
+      EXPECT_EQ(Rec.Invocations, 1u);
+      EXPECT_TRUE(Rec.Overlapping);
     } else if (Rec.Name == "pass.expansion") {
       SawExpansion = true;
       EXPECT_EQ(Rec.Invocations, 1u);
@@ -423,6 +432,7 @@ TEST(PassTiming, EveryStageIsAccounted) {
     }
   }
   EXPECT_TRUE(SawProfile);
+  EXPECT_TRUE(SawShadow);
   EXPECT_TRUE(SawExpansion);
   EXPECT_TRUE(SawPlanner);
   EXPECT_EQ(S.timing().counter("pass.expansion.runs"), 1u);

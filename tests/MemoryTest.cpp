@@ -1,22 +1,28 @@
-//===- MemoryTest.cpp - VMMemory registry and last-hit cache ---------------===//
+//===- MemoryTest.cpp - VMMemory registry and lookup cache -----------------===//
 //
 // Part of the GDSE project, a reproduction of "General Data Structure
 // Expansion for Multi-threading" (PLDI 2013).
 //
 //===----------------------------------------------------------------------===//
 //
-// Regression tests for the containing() last-hit cache: every path that
-// kills or erases an allocation must leave the cache unable to answer with
-// the dead block, even when the host allocator immediately recycles the
+// Regression tests for the registry's lookup cache (the recently returned
+// allocations containing() and the inline bounds check consult): every path
+// that kills or erases an allocation must leave the cache unable to answer
+// with the dead block, even when the host allocator immediately recycles the
 // address for an unrelated allocation (the freed-then-reallocated hazard).
 // Plus the concurrent-mode worker paths: call frames on a worker's arena,
 // with exact per-frame bounds and deltas, and frees while concurrent.
 //
 //===----------------------------------------------------------------------===//
 
+#include "frontend/Parser.h"
+#include "interp/Interp.h"
 #include "interp/Memory.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 using namespace gdse;
 
@@ -93,6 +99,162 @@ TEST(VMMemoryCache, ConcurrentModeTransitionsDropCache) {
   ASSERT_TRUE(Mem.deallocate(A)); // deferred host delete + erase
   Mem.endConcurrent();
   EXPECT_EQ(Mem.containing(A), nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// The bounds check's fast path: an access answered from the lookup cache
+// must get the answer the registry gives.
+//===----------------------------------------------------------------------===//
+
+/// Runs \p Src on the bytecode VM with bounds checks on.
+RunResult runChecked(const std::string &Src) {
+  std::unique_ptr<Module> M = parseMiniCOrDie(Src, "bounds");
+  InterpOptions Opts;
+  Opts.SimulateParallel = false;
+  Interp I(*M, Opts);
+  return I.run();
+}
+
+/// The trap message without its host address, which differs between runs.
+std::string withoutAddress(const std::string &Msg) {
+  return Msg.substr(0, Msg.find(" at 0x"));
+}
+
+TEST(BoundsFastPath, OverrunOfTheRecentBlockTraps) {
+  VMMemory Mem;
+  uint64_t A = Mem.allocate(16, AllocKind::Heap, 1);
+  ASSERT_TRUE(Mem.inBounds(A + 12, 4)); // caches the block
+  EXPECT_TRUE(Mem.inRecent(A + 12, 4));
+  // Starts in the cached block, ends past it.
+  EXPECT_FALSE(Mem.inRecent(A + 14, 4));
+  EXPECT_FALSE(Mem.inBounds(A + 14, 4));
+  EXPECT_FALSE(Mem.inBounds(A + 15, UINT64_MAX)); // no wrap-around
+  Mem.deallocate(A);
+
+  RunResult R = runChecked(R"(
+    int main() {
+      int* p = malloc(16);
+      p[3] = 1;
+      char* c = (char*)p;
+      int* q = (int*)(c + 14);
+      *q = 5;
+      return 0;
+    }
+  )");
+  ASSERT_TRUE(R.Trapped);
+  EXPECT_EQ(withoutAddress(R.TrapMessage), "out-of-bounds store of 4 bytes");
+}
+
+TEST(BoundsFastPath, UseAfterFreeOfTheRecentBlockTraps) {
+  VMMemory Mem;
+  uint64_t A = Mem.allocate(16, AllocKind::Heap, 1);
+  ASSERT_TRUE(Mem.inBounds(A, 4));
+  ASSERT_TRUE(Mem.deallocate(A));
+  EXPECT_FALSE(Mem.inRecent(A, 4));
+  EXPECT_FALSE(Mem.inBounds(A, 4));
+
+  RunResult R = runChecked(R"(
+    int main() {
+      int* p = malloc(16);
+      p[0] = 1;
+      free(p);
+      print_int(p[0]);
+      return 0;
+    }
+  )");
+  ASSERT_TRUE(R.Trapped);
+  EXPECT_EQ(withoutAddress(R.TrapMessage), "out-of-bounds load of 4 bytes");
+}
+
+TEST(BoundsFastPath, FreeThenMallocAtTheSameAddress) {
+  // The host allocator usually hands a freed block's address straight
+  // back. The cache must answer with the new, smaller block.
+  VMMemory Mem;
+  uint64_t A = Mem.allocate(16, AllocKind::Heap, 1);
+  ASSERT_TRUE(Mem.inBounds(A + 12, 4));
+  ASSERT_TRUE(Mem.deallocate(A));
+  uint64_t B = Mem.allocate(12, AllocKind::Heap, 2);
+  EXPECT_TRUE(Mem.inBounds(B + 8, 4));
+  EXPECT_FALSE(Mem.inRecent(B + 12, 4));
+  EXPECT_FALSE(Mem.inBounds(B + 12, 4));
+  ASSERT_NE(Mem.containing(B), nullptr);
+  EXPECT_EQ(Mem.containing(B)->SiteId, 2u);
+  Mem.deallocate(B);
+
+  RunResult R = runChecked(R"(
+    int main() {
+      int* p = malloc(16);
+      p[3] = 1;
+      free(p);
+      int* q = malloc(12);
+      q[2] = 7;
+      print_int(q[2]);
+      q[3] = 1;
+      return 0;
+    }
+  )");
+  ASSERT_TRUE(R.Trapped);
+  EXPECT_EQ(R.Output, "7\n");
+  EXPECT_EQ(withoutAddress(R.TrapMessage), "out-of-bounds store of 4 bytes");
+}
+
+TEST(BoundsFastPath, ZeroSizeBlock) {
+  VMMemory Mem;
+  uint64_t A = Mem.allocate(0, AllocKind::Heap, 1);
+  ASSERT_NE(A, 0u);
+  ASSERT_NE(Mem.containing(A), nullptr); // caches the block
+  EXPECT_FALSE(Mem.inRecent(A, 1));
+  EXPECT_FALSE(Mem.inBounds(A, 1));
+  EXPECT_FALSE(Mem.inRecent(A, 0)); // the cache never answers for it
+  EXPECT_TRUE(Mem.inBounds(A, 0));
+  Mem.deallocate(A);
+
+  RunResult R = runChecked(R"(
+    int main() {
+      char* p = malloc(0);
+      p[0] = 1;
+      return 0;
+    }
+  )");
+  ASSERT_TRUE(R.Trapped);
+  EXPECT_EQ(withoutAddress(R.TrapMessage), "out-of-bounds store of 1 bytes");
+}
+
+TEST(BoundsFastPath, ConcurrentModeNeverReadsTheCache) {
+  // A block cached before concurrent mode is freed by one thread while
+  // another looks it up. Reading the cache would read the block's Live
+  // flag without the registry lock, a race the thread sanitizer reports.
+  VMMemory Mem;
+  uint64_t A = Mem.allocate(64, AllocKind::Heap, 1);
+  uint64_t B = Mem.allocate(64, AllocKind::Heap, 2);
+  ASSERT_TRUE(Mem.inBounds(A, 8));
+  ASSERT_TRUE(Mem.inBounds(B, 8));
+  EXPECT_EQ(Mem.cachedLookups(), 2u);
+  Mem.beginConcurrent();
+  std::atomic<bool> Freed{false};
+  std::thread Freer([&] {
+    EXPECT_TRUE(Mem.deallocate(A));
+    Freed = true;
+  });
+  std::thread Reader([&] {
+    for (unsigned I = 0; I != 1000; ++I) {
+      EXPECT_FALSE(Mem.inRecent(B, 8));
+      EXPECT_TRUE(Mem.inBounds(B, 8));
+      bool FreedBefore = Freed;
+      bool Live = Mem.inBounds(A, 8);
+      EXPECT_FALSE(FreedBefore && Live);
+    }
+  });
+  Freer.join();
+  Reader.join();
+  EXPECT_FALSE(Mem.inBounds(A, 8));
+  // Lookups while concurrent neither read nor change the cache.
+  EXPECT_EQ(Mem.cachedLookups(), 2u);
+  Mem.endConcurrent();
+  EXPECT_FALSE(Mem.inBounds(A, 8));
+  EXPECT_TRUE(Mem.inBounds(B, 8));
+  EXPECT_EQ(Mem.cachedLookups(), 1u);
+  Mem.deallocate(B);
 }
 
 TEST(VMMemoryConcurrent, WorkerFrameArenaAndSharedFrees) {

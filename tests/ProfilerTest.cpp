@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace gdse;
 
 namespace {
@@ -694,6 +696,241 @@ TEST(ProfilerShadow, FifthDistinctReaderIsDropped) {
   // 4 bytes of x, one dropped read each, in every one of 4 iterations.
   EXPECT_EQ(P.Stats.DroppedReads, 16u);
   expectMatchesReference(P);
+}
+
+//===----------------------------------------------------------------------===//
+// Granules. An aligned 4-byte granule whose bytes share one state is one
+// step; a partial or misaligned access splits it into per-byte cells first.
+//===----------------------------------------------------------------------===//
+
+TEST(ProfilerShadow, ShortStoreSplitsAUniformGranule) {
+  ProfiledProgram P = profileCandidate(R"(
+    int main() {
+      int x = 0;
+      int out = 0;
+      @candidate for (int i = 0; i < 4; i++) {
+        x = i + 65536;
+        short* s = (short*)&x;
+        s[1] = 3;
+        out = out + x;
+      }
+      print_int(out);
+      return 0;
+    }
+  )");
+  std::vector<AccessId> IntStores = loopAccesses(P, true, "x");
+  std::vector<AccessId> ShortStores = loopAccesses(P, true);
+  std::vector<AccessId> IntLoads = loopAccesses(P, false, "x");
+  ASSERT_EQ(IntStores.size(), 1u);
+  ASSERT_EQ(ShortStores.size(), 1u);
+  ASSERT_EQ(IntLoads.size(), 1u);
+  // Bytes 0-1 come from the int store, bytes 2-3 from the short store.
+  EXPECT_TRUE(P.Graph.hasEdge(IntStores[0], IntLoads[0], DepKind::Flow, false))
+      << P.Graph.str();
+  EXPECT_TRUE(
+      P.Graph.hasEdge(ShortStores[0], IntLoads[0], DepKind::Flow, false))
+      << P.Graph.str();
+  EXPECT_TRUE(
+      P.Graph.hasEdge(IntStores[0], ShortStores[0], DepKind::Output, false));
+  // The next iteration's whole-granule store overwrites both writers.
+  EXPECT_TRUE(
+      P.Graph.hasEdge(ShortStores[0], IntStores[0], DepKind::Output, true));
+  expectMatchesReference(P);
+}
+
+TEST(ProfilerShadow, MisalignedIntSpansTwoGranules) {
+  // malloc'd blocks are 16-byte aligned, so buf + 2 covers the last two
+  // bytes of granule 0 and the first two of granule 1.
+  ProfiledProgram P = profileCandidate(R"(
+    int main() {
+      char* buf = malloc(16);
+      int out = 0;
+      @candidate for (int i = 0; i < 4; i++) {
+        int* w = (int*)buf;
+        w[0] = i;
+        w[1] = i + 1;
+        int* m = (int*)(buf + 2);
+        *m = 7;
+        out = out + buf[1] + buf[2] + buf[5] + buf[6];
+      }
+      print_int(out);
+      free(buf);
+      return 0;
+    }
+  )");
+  std::vector<AccessId> Stores = loopAccesses(P, true);
+  std::vector<AccessId> Loads = loopAccesses(P, false);
+  ASSERT_EQ(Stores.size(), 3u); // w[0]; w[1]; *m
+  ASSERT_EQ(Loads.size(), 4u);  // buf[1]; buf[2]; buf[5]; buf[6]
+  AccessId W0 = Stores[0], W1 = Stores[1], Mis = Stores[2];
+  EXPECT_TRUE(P.Graph.hasEdge(W0, Loads[0], DepKind::Flow, false))
+      << P.Graph.str();
+  EXPECT_TRUE(P.Graph.hasEdge(Mis, Loads[1], DepKind::Flow, false));
+  EXPECT_TRUE(P.Graph.hasEdge(Mis, Loads[2], DepKind::Flow, false));
+  EXPECT_TRUE(P.Graph.hasEdge(W1, Loads[3], DepKind::Flow, false));
+  EXPECT_FALSE(hasFlowFrom(P.Graph, W0, Loads[1])) << P.Graph.str();
+  EXPECT_FALSE(hasFlowFrom(P.Graph, W1, Loads[2])) << P.Graph.str();
+  EXPECT_FALSE(hasFlowFrom(P.Graph, Mis, Loads[0])) << P.Graph.str();
+  EXPECT_FALSE(hasFlowFrom(P.Graph, Mis, Loads[3])) << P.Graph.str();
+  EXPECT_TRUE(P.Graph.hasEdge(W0, Mis, DepKind::Output, false));
+  EXPECT_TRUE(P.Graph.hasEdge(W1, Mis, DepKind::Output, false));
+  expectMatchesReference(P);
+}
+
+TEST(ProfilerShadow, EightByteAccessOverSplitAndUniformGranules) {
+  ProfiledProgram P = profileCandidate(R"(
+    int main() {
+      long* v = malloc(8);
+      long out = 0;
+      @candidate for (int i = 0; i < 4; i++) {
+        *v = i;
+        char* c = (char*)v;
+        c[1] = 3;
+        out = out + *v;
+        *v = out;
+      }
+      print_int((int)out);
+      free(v);
+      return 0;
+    }
+  )");
+  std::vector<AccessId> Stores = loopAccesses(P, true);
+  std::vector<AccessId> Loads = loopAccesses(P, false);
+  ASSERT_EQ(Stores.size(), 3u); // *v = i; c[1] = 3; *v = out
+  ASSERT_EQ(Loads.size(), 1u);  // *v
+  AccessId First = Stores[0], Char = Stores[1], Last = Stores[2];
+  // The load steps granule 0 byte by byte (two writers) and granule 1 once.
+  EXPECT_TRUE(P.Graph.hasEdge(First, Loads[0], DepKind::Flow, false))
+      << P.Graph.str();
+  EXPECT_TRUE(P.Graph.hasEdge(Char, Loads[0], DepKind::Flow, false))
+      << P.Graph.str();
+  // The closing 8-byte store overwrites both writers' bytes.
+  EXPECT_TRUE(P.Graph.hasEdge(First, Last, DepKind::Output, false));
+  EXPECT_TRUE(P.Graph.hasEdge(Char, Last, DepKind::Output, false));
+  EXPECT_TRUE(P.Graph.hasEdge(Loads[0], Last, DepKind::Anti, false));
+  EXPECT_TRUE(P.Graph.hasEdge(Last, First, DepKind::Output, true));
+  expectMatchesReference(P);
+}
+
+TEST(ProfilerShadow, AllocAndFreeBoundariesInsideAGranule) {
+  // The VM's allocator hands out 16-byte aligned blocks, so a block never
+  // starts inside a granule and nothing is ever accessed past the end of
+  // one that ends there. The event stream below does both, and is fed to
+  // the profiler and to the per-byte reference directly.
+  auto Block = [](uint64_t Base, uint64_t Size) {
+    Allocation A;
+    A.Base = Base;
+    A.Size = Size;
+    return A;
+  };
+  const unsigned Loop = 1;
+  const uint64_t A = 0x10000;
+  auto Events = [&](InterpObserver &O) {
+    O.onLoopEnter(Loop);
+    O.onLoopIter(Loop, 0);
+    O.onStore(1, A, 8);               // two uniform granules
+    O.onFree(Block(A + 2, 4));        // ends of granule 0 and 1 wiped
+    O.onLoad(2, A, 8);                // bytes 0-1, 6-7: flow; 2-5: exposed
+    O.onAlloc(Block(A + 9, 6));       // untouched granules 2 and 3, in part
+    O.onStore(3, A + 8, 8);
+    O.onAlloc(Block(A + 13, 2));      // the middle of granule 3
+    O.onLoopIter(Loop, 1);
+    O.onLoad(4, A + 8, 8);            // bytes 13-14 exposed, the rest carried
+    O.onStore(5, A + 12, 1);          // splits granule 3 again
+    O.onFree(Block(A + 12, 4));       // a whole split granule
+    O.onLoad(6, A + 12, 4);
+    O.onLoopExit(Loop);
+    O.onLoad(7, A, 4);                // after the loop: bytes 0-1 only
+  };
+  DepProfiler Fast(Loop);
+  ReferenceDepProfiler Ref(Loop);
+  Events(Fast);
+  Events(Ref);
+  LoopDepGraph G = Fast.takeGraph();
+  LoopDepGraph R = Ref.takeGraph();
+  EXPECT_EQ(G.str(), R.str());
+  EXPECT_EQ(G.DynCount, R.DynCount);
+  EXPECT_TRUE(G.hasEdge(1, 2, DepKind::Flow, false)) << G.str();
+  EXPECT_TRUE(G.hasEdge(3, 4, DepKind::Flow, true)) << G.str();
+  EXPECT_TRUE(G.UpwardsExposedLoads.count(2)) << G.str();
+  EXPECT_TRUE(G.UpwardsExposedLoads.count(4)) << G.str();
+  EXPECT_TRUE(G.UpwardsExposedLoads.count(6)) << G.str();
+  EXPECT_FALSE(hasFlowFrom(G, 5, 6)) << G.str();
+  EXPECT_EQ(G.DownwardsExposedStores, std::set<AccessId>{1}) << G.str();
+}
+
+TEST(ProfilerShadow, OutsideLoadOfASplitGranuleMarksOnlyItsBytes) {
+  ProfiledProgram P = profileCandidate(R"(
+    int main() {
+      int x = 0;
+      @candidate for (int i = 0; i < 4; i++) {
+        x = i;
+        char* c = (char*)&x;
+        c[0] = 7;
+      }
+      char* d = (char*)&x;
+      print_int(d[1]);
+      return 0;
+    }
+  )");
+  std::vector<AccessId> IntStores = loopAccesses(P, true, "x");
+  std::vector<AccessId> CharStores = loopAccesses(P, true);
+  ASSERT_EQ(IntStores.size(), 1u);
+  ASSERT_EQ(CharStores.size(), 1u);
+  // d[1] reads byte 1 only: the int store's value escapes, the char
+  // store's (byte 0) does not.
+  EXPECT_TRUE(P.Graph.DownwardsExposedStores.count(IntStores[0]))
+      << P.Graph.str();
+  EXPECT_FALSE(P.Graph.DownwardsExposedStores.count(CharStores[0]))
+      << P.Graph.str();
+  expectMatchesReference(P);
+}
+
+TEST(ProfilerShadow, DroppedReadsScalePerByte) {
+  // Five distinct readers per write: each byte drops the fifth read, once
+  // per iteration, whether its granule is stepped once (uniform) or byte
+  // by byte (split by the char store).
+  ProfiledProgram Uniform = profileCandidate(R"(
+    int main() {
+      long x = 5;
+      long s = 0;
+      @candidate for (int i = 0; i < 3; i++) {
+        long a1 = x;
+        long a2 = x;
+        long a3 = x;
+        long a4 = x;
+        long a5 = x;
+        s = s + a1 + a2 + a3 + a4 + a5;
+        x = i;
+      }
+      print_int((int)s);
+      return 0;
+    }
+  )");
+  EXPECT_EQ(Uniform.Stats.DroppedReads, 8u * 3u); // 8 bytes, 3 iterations
+  expectMatchesReference(Uniform);
+
+  ProfiledProgram Split = profileCandidate(R"(
+    int main() {
+      int x = 5;
+      int s = 0;
+      @candidate for (int i = 0; i < 3; i++) {
+        char* c = (char*)&x;
+        c[2] = 1;
+        int a1 = x;
+        int a2 = x;
+        int a3 = x;
+        int a4 = x;
+        int a5 = x;
+        s = s + a1 + a2 + a3 + a4 + a5;
+        x = i;
+      }
+      print_int(s);
+      return 0;
+    }
+  )");
+  EXPECT_EQ(Split.Stats.DroppedReads, 4u * 3u); // 4 bytes, 3 iterations
+  expectMatchesReference(Split);
 }
 
 //===----------------------------------------------------------------------===//
